@@ -60,7 +60,6 @@ func main() {
 	stamp := flag.String("stamp", "", "run identifier embedded in the report header (default: current time; pass a fixed stamp for byte-reproducible reports)")
 	coverage := flag.Bool("coverage", false, "run the static pointer-flow cross-check and report tracker coverage")
 	elideMode := flag.Bool("elide", false, "run proof-carrying check elision: analyze, verify proofs, replay with the elision map, report elision rate and speedup")
-	hoistMode := flag.Bool("hoist", false, "run dominator-based guard hoisting: verify fused block-guard claims, replay with the guard map, report the subsumed-check fraction")
 	campaignMode := flag.Bool("campaign", false, "run the benchmark catalog through the sharded campaign worker pool with content-addressed result caching")
 	campaignVariants := flag.String("campaign-variants", "prediction", "comma-separated protection variants for -campaign")
 	cacheDir := flag.String("cache-dir", ".chexcampaign", "campaign result cache directory (empty disables caching)")
@@ -70,18 +69,7 @@ func main() {
 	kinst := flag.Bool("kinst", false, "measure host throughput: Kinst/s and allocs/instruction per workload")
 	kinstVariants := flag.String("kinst-variants", "baseline,always-on,prediction", "comma-separated protection variants for -kinst")
 	ctxK := flag.Int("ctxk", 0, "call-string depth for -elide proofs (0 = default k=2, -1 = context-insensitive)")
-	superblocks := flag.String("superblocks", "on", "superblock replay: on (default) or off — the escape hatch cannot change results, only host throughput")
 	flag.Parse()
-
-	var noSuperblocks bool
-	switch *superblocks {
-	case "on":
-	case "off":
-		noSuperblocks = true
-	default:
-		fmt.Fprintf(os.Stderr, "chexbench: -superblocks must be on or off, got %q\n", *superblocks)
-		exit(2)
-	}
 
 	if *cpuprofile != "" || *memprofile != "" {
 		stop, err := startProfiles(*cpuprofile, *memprofile)
@@ -94,7 +82,7 @@ func main() {
 	}
 
 	if *kinst {
-		if err := runKinst(*benches, *kinstVariants, *scale, *insts, noSuperblocks); err != nil {
+		if err := runKinst(*benches, *kinstVariants, *scale, *insts); err != nil {
 			fmt.Fprintln(os.Stderr, "chexbench:", err)
 			exit(1)
 		}
@@ -133,8 +121,7 @@ func main() {
 			exit(1)
 		}
 		defer f.Close()
-		ro := experiments.Options{Scale: *scale, MaxInsts: *insts, MaxCycles: *maxCycles,
-			Timeout: *timeout, NoSuperblocks: noSuperblocks}
+		ro := experiments.Options{Scale: *scale, MaxInsts: *insts, MaxCycles: *maxCycles, Timeout: *timeout}
 		if *benches != "" {
 			ro.Benches = strings.Split(*benches, ",")
 		}
@@ -147,7 +134,7 @@ func main() {
 	}
 
 	o := experiments.Options{Scale: *scale, MaxInsts: *insts, MaxCycles: *maxCycles,
-		Timeout: *timeout, ContextK: *ctxK, NoSuperblocks: noSuperblocks}
+		Timeout: *timeout, ContextK: *ctxK}
 	if *benches != "" {
 		o.Benches = strings.Split(*benches, ",")
 	}
@@ -234,21 +221,6 @@ func main() {
 			}
 			dump("elision", rows)
 			fmt.Print(experiments.FormatElision(rows))
-			return nil
-		})
-		if !*all && *fig == 0 && *table == 0 && !*hoistMode {
-			return
-		}
-	}
-
-	if *hoistMode {
-		run("Guard hoisting", func() error {
-			rows, err := experiments.RunHoist(o)
-			if err != nil {
-				return err
-			}
-			dump("hoist", rows)
-			fmt.Print(experiments.FormatHoist(rows))
 			return nil
 		})
 		if !*all && *fig == 0 && *table == 0 {
@@ -520,7 +492,7 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 // by a host-speed calibration score so numbers are comparable across
 // machines. This is the interactive face of the CI benchmark gate
 // (cmd/chexperf); both share internal/hostperf.
-func runKinst(benches, variants string, scale float64, insts uint64, noSuperblocks bool) error {
+func runKinst(benches, variants string, scale float64, insts uint64) error {
 	clock := func() int64 { return time.Now().UnixNano() } //determinism:ok — CLI wall-time probe
 	names := workload.Names()
 	if benches != "" {
@@ -541,7 +513,7 @@ func runKinst(benches, variants string, scale float64, insts uint64, noSuperbloc
 			return fmt.Errorf("unknown workload %q", name)
 		}
 		for _, v := range vs {
-			s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts, NoSuperblocks: noSuperblocks})
+			s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts})
 			if err != nil {
 				return err
 			}

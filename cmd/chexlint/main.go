@@ -18,19 +18,12 @@
 // the tool prints the resulting proof table: which capability checks are
 // provably elidable, with bounds and justification chains.
 //
-// With -guards, the tool verifies the analyzer's hoisted block-guard
-// claims (dominator-anchored fused bounds checks, DESIGN.md §16)
-// fail-closed against the elision map and prints each guard decision;
-// -json renders the decisions as byte-stable JSON.
-//
 // Usage:
 //
 //	chexlint -workloads all
 //	chexlint -crosscheck -workloads mcf,leela -o report.json
 //	chexlint -elide -workloads freqmine
 //	chexlint -elide -json -o proofs.json
-//	chexlint -guards -workloads mcf
-//	chexlint -guards -json -o guards.json
 package main
 
 import (
@@ -52,8 +45,7 @@ func main() {
 	workloads := flag.String("workloads", "all", "comma-separated benchmark names, or \"all\"")
 	crosscheck := flag.Bool("crosscheck", false, "replay workloads dynamically and diff tracker tags against static verdicts")
 	elideMode := flag.Bool("elide", false, "verify capability-check elision proofs and print the proof table")
-	guardsMode := flag.Bool("guards", false, "verify hoisted block-guard claims (DESIGN.md §16) and print the guard table")
-	jsonOut := flag.Bool("json", false, "emit the -elide/-guards reports as byte-stable JSON (crosscheck reports are always JSON)")
+	jsonOut := flag.Bool("json", false, "emit the -elide proof reports as byte-stable JSON (crosscheck reports are always JSON)")
 	ctxK := flag.Int("ctxk", 0, "call-string depth for -elide proofs (0 = default k=2, -1 = context-insensitive)")
 	contexts := flag.Int("contexts", 0, "cap the per-context verdict rows printed per site in -elide output (0 = all)")
 	variantFlag := flag.String("variant", "prediction", "protection variant for the dynamic replay")
@@ -72,13 +64,6 @@ func main() {
 	variant, ok := faultinject.VariantByName(*variantFlag)
 	if !ok {
 		fail(fmt.Errorf("unknown variant %q", *variantFlag))
-	}
-
-	if *guardsMode {
-		if err := runGuards(profiles, *scale, *ctxK, *jsonOut, *out, *quiet); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	if *elideMode {
@@ -224,62 +209,6 @@ func runElide(profiles []*workload.Profile, scale float64, ctxK, contexts int, j
 	}
 	data, err := json.MarshalIndent(struct {
 		Reports []elideReport `json:"reports"`
-	}{reports}, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outPath == "" {
-		os.Stdout.Write(data)
-		return nil
-	}
-	return os.WriteFile(outPath, data, 0o644)
-}
-
-// runGuards verifies each workload's hoisted block-guard claims against
-// the independently re-verified elision map and renders the guard table
-// (or, with jsonOut, a byte-stable JSON report of every guard decision).
-func runGuards(profiles []*workload.Profile, scale float64, ctxK int, jsonOut bool, outPath string, quiet bool) error {
-	type guardReport struct {
-		Workload string `json:"workload"`
-		elide.GuardReport
-	}
-	var reports []guardReport
-	for _, p := range profiles {
-		prog, err := p.Build(scale)
-		if err != nil {
-			return fmt.Errorf("%s: %w", p.Name, err)
-		}
-		rep, err := elide.ForProgram(prog, elide.Options{Harts: harts(p), ContextK: ctxK})
-		if err != nil {
-			return fmt.Errorf("%s: %w", p.Name, err)
-		}
-		g := rep.Guards
-		reports = append(reports, guardReport{Workload: p.Name, GuardReport: g})
-		if jsonOut || quiet {
-			continue
-		}
-		fmt.Printf("%s:\n  guard check: verified=%v guards=%d covered=%d rejected=%d",
-			p.Name, g.Verified, g.Stats.Guards, g.Stats.Covered, g.Stats.Rejected)
-		if g.Reason != "" {
-			fmt.Printf("  (%s)", g.Reason)
-		}
-		fmt.Println()
-		for _, d := range g.Decisions {
-			if d.Status == "hoist" {
-				fmt.Printf("  guard %#08x block %d ctx=%s %s+[%d,%d) covers %d\n",
-					d.Addr, d.Block, d.Ctx, d.Region, d.Lo, d.End, d.Covered)
-			} else {
-				fmt.Printf("  guard %#08x block %d ctx=%s reject  %s\n", d.Addr, d.Block, d.Ctx, d.Reason)
-			}
-		}
-		fmt.Printf("  digest: %s\n", g.Digest)
-	}
-	if !jsonOut {
-		return nil
-	}
-	data, err := json.MarshalIndent(struct {
-		Reports []guardReport `json:"reports"`
 	}{reports}, "", "  ")
 	if err != nil {
 		return err

@@ -102,42 +102,6 @@ func TestKeyTracksElisionConfig(t *testing.T) {
 	}
 }
 
-func TestKeyTracksGuardConfig(t *testing.T) {
-	// Guard hoisting (DESIGN.md §16) is the same contract one layer up: a
-	// cached result must key on whether the verified guard map was
-	// installed and on exactly which guard set it was.
-	elided := pipeline.DefaultConfig()
-	elided.ElideChecks = true
-	elided.ElisionDigest = "deadbeef"
-	base := BenchSpec("mcf", elided, 0.25, 20000, 0)
-	k0, err := base.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	hoisted := elided
-	hoisted.HoistGuards = true
-	s1 := BenchSpec("mcf", hoisted, 0.25, 20000, 0)
-	k1, err := s1.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k0 {
-		t.Fatal("flipping Config.HoistGuards must change the content address")
-	}
-
-	digested := hoisted
-	digested.GuardDigest = "0ddba11"
-	s2 := BenchSpec("mcf", digested, 0.25, 20000, 0)
-	k2, err := s2.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2 == k1 || k2 == k0 {
-		t.Fatal("changing Config.GuardDigest must change the content address")
-	}
-}
-
 func TestKeyIgnoresTimeout(t *testing.T) {
 	s1 := BenchSpec("mcf", pipeline.DefaultConfig(), 0.25, 20000, 0)
 	s2 := s1
@@ -153,9 +117,9 @@ func TestKeyIgnoresTimeout(t *testing.T) {
 }
 
 // TestKeyIgnoresHostReplayKnobs pins that host-side replay knobs —
-// the μop cache and superblock switches, which cannot change result
-// bytes — never reach the content address: toggling them must not
-// invalidate cached campaign results.
+// today the μop cache switch, which cannot change result bytes — never
+// reach the content address: toggling one must not invalidate cached
+// campaign results.
 func TestKeyIgnoresHostReplayKnobs(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	s1 := BenchSpec("mcf", cfg, 0.25, 20000, 0)
@@ -164,8 +128,6 @@ func TestKeyIgnoresHostReplayKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.NoUopCache = true
-	cfg.NoSuperblocks = true
-	cfg.SuperblockChainLen = 2
 	s2 := BenchSpec("mcf", cfg, 0.25, 20000, 0)
 	k2, err := s2.Key()
 	if err != nil {

@@ -96,11 +96,6 @@ type Report struct {
 	// Map is the pipeline-consumable elision map (true at proven-safe
 	// sites only).
 	Map pipeline.ElisionMap `json:"-"`
-
-	// Guards is the verified hoisted-guard set (guard.go): the bundle's
-	// dominator-anchored fused claims re-verified fail-closed against
-	// this report's elision map.
-	Guards GuardReport `json:"guards"`
 }
 
 // ForProgram analyzes prog, has the analyzer emit a proof bundle, and
@@ -209,7 +204,6 @@ func FromAnalysis(prog *asm.Program, an *ptrflow.Analysis, opt Options) *Report 
 	}
 	rep.Stats.Sites = len(sites)
 	rep.Digest = digest(rep)
-	rep.Guards = verifyGuards(ck, err, bundle, rep)
 	return rep
 }
 

@@ -39,20 +39,6 @@ func (r *Report) Format() string {
 			fmt.Fprintf(&b, "  %#08x.%d %-5s keep  %s %s\n", d.Addr, d.MacroIdx, kind, ctx, d.Reason)
 		}
 	}
-	fmt.Fprintf(&b, "  guard check: verified=%v guards=%d covered=%d rejected=%d",
-		r.Guards.Verified, r.Guards.Stats.Guards, r.Guards.Stats.Covered, r.Guards.Stats.Rejected)
-	if r.Guards.Reason != "" {
-		fmt.Fprintf(&b, "  (%s)", r.Guards.Reason)
-	}
-	b.WriteByte('\n')
-	for _, g := range r.Guards.Decisions {
-		if g.Status == "hoist" {
-			fmt.Fprintf(&b, "  guard %#08x block %d ctx=%s %s+[%d,%d) covers %d\n",
-				g.Addr, g.Block, g.Ctx, g.Region, g.Lo, g.End, g.Covered)
-		} else {
-			fmt.Fprintf(&b, "  guard %#08x block %d ctx=%s reject  %s\n", g.Addr, g.Block, g.Ctx, g.Reason)
-		}
-	}
 	fmt.Fprintf(&b, "  digest: %s\n", r.Digest)
 	return b.String()
 }

@@ -52,12 +52,14 @@ func (r *ElisionRow) Speedup() float64 {
 }
 
 // runWithElision executes one benchmark under cfg with an elision map
-// installed (RunOne's measurement policy otherwise).
+// installed (RunOne's measurement policy otherwise). It returns the
+// finished Sim alongside the Result so callers can read host-side
+// telemetry such as UopCacheStats.
 func runWithElision(ctx context.Context, p *workload.Profile, cfg pipeline.Config,
-	o *Options, m pipeline.ElisionMap) (*pipeline.Result, error) {
+	o *Options, m pipeline.ElisionMap) (*pipeline.Sim, *pipeline.Result, error) {
 	prog, err := p.Build(o.Scale)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.WarmupInsts = p.SetupInsts()
 	cfg.MaxInsts = o.MaxInsts
@@ -67,10 +69,11 @@ func runWithElision(ctx context.Context, p *workload.Profile, cfg pipeline.Confi
 	cfg.MaxCycles = o.MaxCycles
 	sim, err := pipeline.NewSim(prog, cfg, harts(p))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sim.SetElisionMap(m)
-	return o.runSim(ctx, sim)
+	res, err := o.runSim(ctx, sim)
+	return sim, res, err
 }
 
 // RunElision measures proof-carrying check elision across the selected
@@ -113,7 +116,7 @@ func RunElision(o Options) ([]ElisionRow, error) {
 		cfg.ElideChecks = true
 		cfg.ElisionDigest = rep.Digest
 		cfg.ElisionCtxK = rep.CtxK
-		res, err := runWithElision(ctx, p, cfg, &o, rep.Map)
+		_, res, err := runWithElision(ctx, p, cfg, &o, rep.Map)
 		if err != nil {
 			return nil, fmt.Errorf("elision %s (elide): %w", p.Name, err)
 		}

@@ -42,10 +42,6 @@ type Options struct {
 	// ContextK is the call-string depth for elision experiments
 	// (0 = the default k = 2, -1 = context-insensitive proofs only).
 	ContextK int
-	// NoSuperblocks disables superblock replay (chexbench
-	// -superblocks=off) — the escape hatch for the byte-identity
-	// contract: results cannot change, only host throughput.
-	NoSuperblocks bool
 }
 
 // runSim executes one configured simulation under the harness's
@@ -104,9 +100,6 @@ func RunOne(ctx context.Context, p *workload.Profile, cfg pipeline.Config, o *Op
 		cfg.MaxInsts += cfg.WarmupInsts
 	}
 	cfg.MaxCycles = o.MaxCycles
-	if o.NoSuperblocks {
-		cfg.NoSuperblocks = true
-	}
 	sim, err := pipeline.NewSim(prog, cfg, harts(p))
 	if err != nil {
 		return nil, err

@@ -62,11 +62,6 @@ type Sample struct {
 	WallNS   int64   `json:"wall_ns"`  // host wall time for the measured run
 	Allocs   uint64  `json:"allocs"`   // heap objects allocated during the run
 	HitRate  float64 `json:"hit_rate"` // μop translation cache hit rate
-	// Superblock replay telemetry (zero when the variant excludes
-	// superblocks or they were disabled for the run).
-	SBBuilt     uint64 `json:"sb_built,omitempty"`     // superblocks installed
-	SBChains    uint64 `json:"sb_chains,omitempty"`    // successor links patched
-	SBFallbacks uint64 `json:"sb_fallbacks,omitempty"` // mid-block exits to the single-op path
 }
 
 // KinstPerSec returns thousands of simulated instructions per host second.
@@ -95,9 +90,8 @@ type Report struct {
 
 // MeasureOpts configures one Measure call.
 type MeasureOpts struct {
-	Scale         float64 // workload scale factor (0 → 0.25)
-	MaxInsts      uint64  // instructions to retire after warmup (0 → 200k)
-	NoSuperblocks bool    // disable superblock replay (the -superblocks=off escape hatch)
+	Scale    float64 // workload scale factor (0 → 0.25)
+	MaxInsts uint64  // instructions to retire after warmup (0 → 200k)
 }
 
 // Measure runs one (workload, variant) pair and samples throughput and
@@ -119,7 +113,6 @@ func Measure(clock Clock, p *workload.Profile, v decode.Variant, opts MeasureOpt
 	cfg.Variant = v
 	cfg.WarmupInsts = p.SetupInsts()
 	cfg.MaxInsts = opts.MaxInsts + cfg.WarmupInsts
-	cfg.NoSuperblocks = opts.NoSuperblocks
 	harts := 1
 	if p.Threads > 0 {
 		harts = p.Threads
@@ -138,17 +131,13 @@ func Measure(clock Clock, p *workload.Profile, v decode.Variant, opts MeasureOpt
 	if err != nil {
 		return Sample{}, fmt.Errorf("%s/%v: run: %w", p.Name, v, err)
 	}
-	sb := sim.SuperblockStats()
 	return Sample{
-		Workload:    p.Name,
-		Variant:     VariantName(v),
-		Insts:       res.MacroInsts,
-		WallNS:      wall,
-		Allocs:      msAfter.Mallocs - msBefore.Mallocs,
-		HitRate:     sim.UopCacheStats().HitRate(),
-		SBBuilt:     sb.Built,
-		SBChains:    sb.ChainsPatched,
-		SBFallbacks: sb.Fallbacks,
+		Workload: p.Name,
+		Variant:  VariantName(v),
+		Insts:    res.MacroInsts,
+		WallNS:   wall,
+		Allocs:   msAfter.Mallocs - msBefore.Mallocs,
+		HitRate:  sim.UopCacheStats().HitRate(),
 	}, nil
 }
 
@@ -271,16 +260,14 @@ func Compare(baseline, current *Report, tolerance float64, allowNew bool) []Prob
 // chexbench print.
 func Format(r *Report) string {
 	out := fmt.Sprintf("host score: %.1f kernel-iters/µs\n", r.HostScore)
-	out += fmt.Sprintf("%-14s %-12s %12s %12s %10s %8s %8s %8s %8s\n",
-		"workload", "variant", "Kinst/s", "norm", "allocs/in", "μop-hit", "sb-built", "sb-chain", "sb-fall")
+	out += fmt.Sprintf("%-14s %-12s %12s %12s %10s %8s\n", "workload", "variant", "Kinst/s", "norm", "allocs/in", "μop-hit")
 	for _, s := range r.Samples {
 		norm := 0.0
 		if r.HostScore > 0 {
 			norm = s.KinstPerSec() / r.HostScore
 		}
-		out += fmt.Sprintf("%-14s %-12s %12.1f %12.4f %10.4f %7.1f%% %8d %8d %8d\n",
-			s.Workload, s.Variant, s.KinstPerSec(), norm, s.AllocsPerInst(), s.HitRate*100,
-			s.SBBuilt, s.SBChains, s.SBFallbacks)
+		out += fmt.Sprintf("%-14s %-12s %12.1f %12.4f %10.4f %7.1f%%\n",
+			s.Workload, s.Variant, s.KinstPerSec(), norm, s.AllocsPerInst(), s.HitRate*100)
 	}
 	return out
 }

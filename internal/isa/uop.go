@@ -25,7 +25,6 @@ const (
 	UCapFreeBegin // set busy on the capability being freed
 	UCapFreeEnd   // clear valid and busy
 	UCapCheck     // validate a dereference against the shadow capability table
-	UGuardCheck   // fused hoisted-block guard: one interval check at a dominator anchor
 
 	numUopTypes
 )
@@ -33,7 +32,6 @@ const (
 var uopNames = [numUopTypes]string{
 	"nop", "mov", "limm", "alu", "lea", "ld", "st", "br", "jmp",
 	"capGen.Begin", "capGen.End", "capFree.Begin", "capFree.End", "capCheck",
-	"guardCheck",
 }
 
 // String returns the micro-op mnemonic.
@@ -46,7 +44,7 @@ func (t UopType) String() string {
 
 // IsCap reports whether the micro-op is one of the injected capability
 // micro-ops.
-func (t UopType) IsCap() bool { return t >= UCapGenBegin && t <= UGuardCheck }
+func (t UopType) IsCap() bool { return t >= UCapGenBegin && t <= UCapCheck }
 
 // IsMem reports whether the micro-op accesses program-visible memory.
 func (t UopType) IsMem() bool { return t == ULoad || t == UStore }
@@ -210,7 +208,7 @@ func (u *Uop) FU() FUClass {
 			return FUFPALU
 		}
 		return FUIntALU
-	case UCapCheck, UCapGenBegin, UCapGenEnd, UCapFreeBegin, UCapFreeEnd, UGuardCheck:
+	case UCapCheck, UCapGenBegin, UCapGenEnd, UCapFreeBegin, UCapFreeEnd:
 		// Capability uops execute on integer ALUs with their own
 		// capability-cache port; they are not on the load critical path.
 		return FUIntALU
@@ -238,7 +236,7 @@ func (u *Uop) Latency() uint8 {
 		return 1
 	case ULoad, UStore:
 		return 1 // address generation; hierarchy latency added by the cache model
-	case UCapCheck, UGuardCheck:
+	case UCapCheck:
 		return 2 // capability-cache hit check latency (off the load path)
 	case UCapGenBegin, UCapGenEnd, UCapFreeBegin, UCapFreeEnd:
 		return 2

@@ -5,9 +5,8 @@
 // machine snapshots at configurable commit strides, while continuously
 // auditing the capability-table invariants the CHEx86 design promises.
 // Every program runs under a matrix of conditions — protection variant ×
-// proof-carrying elision on/off × μop-cache on/off, plus a guard-hoisting
-// cell per protected variant — and the violation reports across a
-// variant's conditions must be byte-identical (elision, guard hoisting
+// proof-carrying elision on/off × μop-cache on/off — and the violation
+// reports across a variant's conditions must be byte-identical (elision
 // and the translation cache must never change observable behavior).
 // Failing programs are minimized by deterministic step removal (shrink.go)
 // and persisted to a content-addressed corpus (corpus.go).
@@ -31,15 +30,6 @@ type Condition struct {
 	Variant    decode.Variant `json:"variant"`
 	Elide      bool           `json:"elide,omitempty"`
 	NoUopCache bool           `json:"noUopCache,omitempty"`
-	// Hoist additionally installs the verified hoisted-guard map
-	// (DESIGN.md §16) on top of elision; with the guard μop live, guard
-	// hoisting may change timing but never the committed values or the
-	// violation report.
-	Hoist bool `json:"hoist,omitempty"`
-	// NoSuperblocks disables superblock replay (DESIGN.md §17); replay
-	// must never change a committed byte, so cells differing only in
-	// this knob must agree exactly.
-	NoSuperblocks bool `json:"noSuperblocks,omitempty"`
 }
 
 // Name renders a short stable identifier ("prediction+elide-uop").
@@ -58,25 +48,16 @@ func (c Condition) Name() string {
 	if c.Elide {
 		b.WriteString("+elide")
 	}
-	if c.Hoist {
-		b.WriteString("+hoist")
-	}
 	if c.NoUopCache {
 		b.WriteString("-uop")
-	}
-	if c.NoSuperblocks {
-		b.WriteString("-sb")
 	}
 	return b.String()
 }
 
 // DefaultConditions is the acceptance matrix: insecure / always-on /
 // prediction × elision on/off × μop-cache on/off (elision is meaningless
-// without a tracker, so the insecure variant only toggles the cache),
-// plus, per protected variant, one guard-hoisting cell (elide+hoist) and
-// one superblock-replay-off cell over the full elide+hoist stack — the
-// baked-facts path against live map probes — fourteen conditions per
-// program.
+// without a tracker, so the insecure variant only toggles the cache) —
+// ten conditions per program.
 func DefaultConditions() []Condition {
 	out := []Condition{
 		{Variant: decode.VariantInsecure},
@@ -88,8 +69,6 @@ func DefaultConditions() []Condition {
 				out = append(out, Condition{Variant: v, Elide: el, NoUopCache: nuc})
 			}
 		}
-		out = append(out, Condition{Variant: v, Elide: true, Hoist: true})
-		out = append(out, Condition{Variant: v, Elide: true, Hoist: true, NoSuperblocks: true})
 	}
 	return out
 }
@@ -280,7 +259,6 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 	cfg.Variant = cond.Variant
 	cfg.MaxInsts = opt.MaxInsts
 	cfg.NoUopCache = cond.NoUopCache
-	cfg.NoSuperblocks = cond.NoSuperblocks
 	var erep *elide.Report
 	if cond.Elide {
 		rep, err := elide.ForProgram(prog, elide.Options{Harts: 1})
@@ -291,10 +269,6 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 		erep = rep
 		cfg.ElideChecks = true
 		cfg.ElisionDigest = rep.Digest
-		if cond.Hoist {
-			cfg.HoistGuards = true
-			cfg.GuardDigest = rep.Guards.Digest
-		}
 	}
 	sim, err := pipeline.NewSim(prog, cfg, 1)
 	if err != nil {
@@ -304,9 +278,6 @@ func runConditionProg(prog *asm.Program, cond Condition, opt RunOptions) *CondRe
 	if erep != nil {
 		sim.SetElisionMap(erep.Map)
 		res.Elided = erep.Stats.Elided
-		if cond.Hoist {
-			sim.SetGuardMap(erep.Guards.Map)
-		}
 	}
 	ref := emu.New(prog, emu.Options{Harts: 1, MaxInsts: opt.MaxInsts})
 

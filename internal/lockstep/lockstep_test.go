@@ -10,8 +10,8 @@ import (
 	"chex86/internal/lockstep/progen"
 )
 
-// fastConditions is a reduced matrix for unit tests (the full
-// fourteen-cell matrix runs in the sweep tests and CI gate).
+// fastConditions is a reduced matrix for unit tests (the full ten-cell
+// matrix runs in the sweep tests and CI gate).
 func fastConditions() []Condition {
 	full := DefaultConditions()
 	out := make([]Condition, 0, 4)

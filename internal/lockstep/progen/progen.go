@@ -6,9 +6,9 @@
 // walk of the register-level pointer flows Table I must follow — pointer
 // copies, stack spills and reloads (alias records), in-bounds word/byte
 // accesses, straight-line multi-dereference runs (loop-free hot blocks
-// over one region, the shape the guard-hoisting layer fuses), bounded
-// pointer arithmetic, alloc/free churn, and call trees deep enough to
-// exercise the k=2 call-string context fold.
+// over one region), bounded pointer arithmetic, alloc/free churn, call
+// trees deep enough to exercise the k=2 call-string context fold, and
+// indirect calls and jump tables.
 //
 // A program is described by a Genome: a plain-data step list that is
 // (a) derived deterministically from a seed via faultinject.DeriveSeed
@@ -104,20 +104,27 @@ const (
 	StepChurn
 	// StepRun performs a straight-line run of dereferences — several
 	// loads/stores at consecutive word offsets through the tracked
-	// pointer, all loop-free within one hot block over one region. The
-	// shape exists for the guard-hoisting layer: a dominator-anchored
-	// fused guard must cover every dereference of the run.
+	// pointer, all loop-free within one hot block over one region. It
+	// gives check elision several adjacent sites in one block whose
+	// proofs share a region, so each site's elide-or-keep decision and
+	// the μop cache's multi-dereference expansion are diffed against the
+	// reference together.
 	StepRun
 	// StepICall calls a generated function through a function pointer
 	// materialized in a scratch register — an indirect CALL whose target
-	// comes from a register, not the instruction. The shape exists for
-	// the superblock layer: indirect calls must terminate a block and
-	// never chain.
+	// comes from a register, not the instruction. It exercises
+	// indirect-target prediction, the live call-string fold across a
+	// CALL the instruction word does not name, and the fail-closed
+	// elision path: a program with an indirect branch carries no proofs,
+	// so every check stays.
 	StepICall
 	// StepJumpTable dispatches through a stack-resident jump table: the
 	// case handlers' addresses are stored to stack slots, the baked
 	// selector's slot is loaded back, and an indirect JMP lands in one of
 	// the case blocks, each of which accesses the buffer and rejoins.
+	// Like StepICall it exercises indirect-target prediction and the
+	// fail-closed elision path, here with the target loaded from memory
+	// and several case blocks sharing one join.
 	StepJumpTable
 
 	numStepKinds

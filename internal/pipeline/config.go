@@ -89,24 +89,6 @@ type Config struct {
 	// k ≤ 2 are consulted correctly.
 	ElisionCtxK int
 
-	// HoistGuards enables hoisted-block-guard accounting on top of check
-	// elision: one fused guard executes at each verified dominator anchor
-	// (folded into the anchor block's leader at zero timing cost, see
-	// DESIGN.md §16) and the dominated capability checks it covers are
-	// attributed to it in Sim.GuardStats. The checker only admits covered
-	// sites that are in the verified elision map, so the set of suppressed
-	// checks — and therefore Result — is identical with the knob on or
-	// off. Requires ElideChecks; inert without a map installed through
-	// Sim.SetGuardMap.
-	HoistGuards bool
-
-	// GuardDigest is the content digest of the installed guard map
-	// (internal/elide GuardReport.Digest). Like ElisionDigest it has no
-	// simulation effect; it folds the exact guard set into CanonicalJSON
-	// so campaign result caching never serves a result across differing
-	// guard maps.
-	GuardDigest string
-
 	// EnableChecker runs the hardware checker co-processor alongside
 	// execution (the offline rule-validation mode of Section V-A).
 	EnableChecker bool
@@ -162,24 +144,6 @@ type Config struct {
 	// CanonicalJSON — and therefore from campaign cache keys — via the
 	// json:"-" tag.
 	NoUopCache bool `json:"-"`
-
-	// NoSuperblocks disables the superblock translation layer
-	// (superblock.go): straight-line runs of decoded translations are no
-	// longer grouped into chained blocks, and every committed instruction
-	// goes through the per-instruction dispatch path. Like NoUopCache it
-	// is a host-performance knob with a byte-identity contract — Result,
-	// violation reports, and the lockstep differential are identical with
-	// superblocks on or off (TestSuperblockDifferential gates this) — so
-	// it is excluded from CanonicalJSON and campaign cache keys.
-	NoSuperblocks bool `json:"-"`
-
-	// SuperblockChainLen bounds how many successor links replay may
-	// follow before forcing a fresh superblock-cache lookup (0 means the
-	// default, sbDefaultChainLen). Purely a host-side knob: chain length
-	// affects how often the replay cursor revalidates against the cache,
-	// never what is simulated, so it shares NoSuperblocks' json:"-"
-	// exclusion.
-	SuperblockChainLen int `json:"-"`
 }
 
 // DefaultConfig returns the Table III machine with the default CHEx86
@@ -234,8 +198,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// ctxK returns the effective call-string depth for elision and guard
-// probes (ElisionCtxK, defaulting to k = 2).
+// ctxK returns the effective call-string depth for elision probes
+// (ElisionCtxK, defaulting to k = 2).
 func (c *Config) ctxK() int {
 	if c.ElisionCtxK == 0 {
 		return 2
@@ -311,12 +275,6 @@ func (c *Config) validate(harts int) error {
 	}
 	if c.TLBEntries <= 0 || c.TLBWays <= 0 || c.TLBEntries%c.TLBWays != 0 {
 		return fail("TLB: %d entries not divisible by %d ways", c.TLBEntries, c.TLBWays)
-	}
-	if c.HoistGuards && !c.ElideChecks {
-		return fail("HoistGuards requires ElideChecks: a guard only attributes checks the elision map suppresses")
-	}
-	if c.SuperblockChainLen < 0 {
-		return fail("superblock chain length %d must be non-negative", c.SuperblockChainLen)
 	}
 	return nil
 }

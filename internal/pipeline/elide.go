@@ -26,10 +26,5 @@ type ElisionMap map[ElideKey]bool
 
 // SetElisionMap installs the elision map. It only takes effect when
 // Cfg.ElideChecks is also set, so an installed map with the knob off is
-// inert — the fail-closed default. Installing a map bumps the superblock
-// epoch: any block whose baked elision mask was derived from the old map
-// is invalidated before its next replay.
-func (s *Sim) SetElisionMap(m ElisionMap) {
-	s.elision = m
-	s.sbEpoch++
-}
+// inert — the fail-closed default.
+func (s *Sim) SetElisionMap(m ElisionMap) { s.elision = m }

@@ -31,46 +31,28 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 	c.recsRun++
 	c.lastRIP = in.Addr
 
-	// --- Superblock replay cursor (fast path; superblock.go). ---
-	// When the cursor holds a baked translation for this record, the
-	// per-instruction dispatch work below — branch-kind classification,
-	// μop-cache probe, and the map lookups inside the instrumentation —
-	// is replaced by the block's precomputed facts.
-	var sbm *sbMacro
-	sbOn := s.sbEnabled()
-	if sbOn {
-		sbm = s.sbResolve(c, rec)
-	}
-
 	// --- Branch prediction (fetch stage). ---
 	var brKind branch.Kind
 	var predTaken bool
 	var predTarget uint64
-	var isBranch bool
-	if sbm != nil {
-		isBranch, brKind = sbm.isBranch, sbm.brKind
-	} else {
-		isBranch = in.Op.IsBranch()
-		if isBranch {
-			switch in.Op {
-			case isa.JCC:
-				brKind = branch.KindCond
-			case isa.JMP:
-				brKind = branch.KindDirect
-				if in.Dst.Kind == isa.OpReg {
-					brKind = branch.KindIndirect
-				}
-			case isa.CALL:
-				brKind = branch.KindCall
-				if in.Dst.Kind == isa.OpReg {
-					brKind = branch.KindIndirectCall
-				}
-			case isa.RET:
-				brKind = branch.KindRet
-			}
-		}
-	}
+	isBranch := in.Op.IsBranch()
 	if isBranch {
+		switch in.Op {
+		case isa.JCC:
+			brKind = branch.KindCond
+		case isa.JMP:
+			brKind = branch.KindDirect
+			if in.Dst.Kind == isa.OpReg {
+				brKind = branch.KindIndirect
+			}
+		case isa.CALL:
+			brKind = branch.KindCall
+			if in.Dst.Kind == isa.OpReg {
+				brKind = branch.KindIndirectCall
+			}
+		case isa.RET:
+			brKind = branch.KindRet
+		}
 		predTaken, predTarget = c.bu.Predict(brKind, in.Addr, in.NextAddr())
 	}
 
@@ -84,46 +66,35 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 	// are replayed on a hit so results are byte-identical with the cache
 	// on and off.
 	c.microRerouted = false
+	gen := s.Microcode.Gen()
 	var native []isa.Uop
-	if sbm != nil {
-		c.dec.Stats.MacroOps++
-		c.dec.Stats.NativeUops += sbm.nativeUops
-		native = sbm.uops
-	} else {
-		gen := s.Microcode.Gen()
-		var nativeUops uint64
-		cached := false
-		if !cfg.NoUopCache {
-			if e := c.uc.lookup(in.Addr, gen); e != nil {
-				c.dec.Stats.MacroOps++
-				c.dec.Stats.NativeUops += e.nativeUops
-				nativeUops = e.nativeUops
-				if e.rerouted {
-					c.dec.Stats.MSROMMacros++
-					s.Microcode.Stats.Rerouted++
-					c.microRerouted = true
-				}
-				native = e.uops
-				cached = true
-			}
-		}
-		if !cached {
-			buf := c.dec.Native(in, c.uopBuf[:0])
-			c.uopBuf = buf[:0]
-			nativeUops = uint64(len(buf))
-			native = buf
-			// Field updates re-route matching translations through the MSRAM.
-			if rerouted, hit := s.Microcode.Apply(in, native); hit {
-				native = rerouted
+	cached := false
+	if !cfg.NoUopCache {
+		if e := c.uc.lookup(in.Addr, gen); e != nil {
+			c.dec.Stats.MacroOps++
+			c.dec.Stats.NativeUops += e.nativeUops
+			if e.rerouted {
 				c.dec.Stats.MSROMMacros++
+				s.Microcode.Stats.Rerouted++
 				c.microRerouted = true
 			}
-			if !cfg.NoUopCache {
-				c.uc.insert(in.Addr, gen, native, nativeUops, c.microRerouted)
-			}
+			native = e.uops
+			cached = true
 		}
-		if sbOn {
-			s.sbFeed(c, rec, native, nativeUops, isBranch, brKind, gen)
+	}
+	if !cached {
+		buf := c.dec.Native(in, c.uopBuf[:0])
+		c.uopBuf = buf[:0]
+		nativeUops := uint64(len(buf))
+		native = buf
+		// Field updates re-route matching translations through the MSRAM.
+		if rerouted, hit := s.Microcode.Apply(in, native); hit {
+			native = rerouted
+			c.dec.Stats.MSROMMacros++
+			c.microRerouted = true
+		}
+		if !cfg.NoUopCache {
+			c.uc.insert(in.Addr, gen, native, nativeUops, c.microRerouted)
 		}
 	}
 
@@ -131,35 +102,6 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 	c.firstViolation = nil
 
 	plans := c.planBuf[:0]
-
-	// --- Hoisted block guard (guard.go): one timed UGuardCheck μop per
-	// committed verified anchor, leading the macro-op's plan so the
-	// fused interval check issues at block entry in place of the per-site
-	// capability checks the elision map removed. The probe runs before
-	// ctxRetire below, so an anchor CALL counts in its caller's context —
-	// matching the static attribution. Same probe order as elision:
-	// exact live context, then the ⊤ entry.
-	if cfg.HoistGuards && cfg.Variant.UsesTracker() {
-		guardHit := false
-		if sbm != nil {
-			guardHit = sbm.guardAnchor
-		} else if len(s.guards.Guards) > 0 {
-			gctx := c.liveCtx().Limit(cfg.ctxK())
-			if _, ok := s.guards.Guards[GuardKey{Addr: in.Addr, Ctx: gctx}]; ok {
-				guardHit = true
-			} else if !gctx.IsAny() {
-				_, guardHit = s.guards.Guards[GuardKey{Addr: in.Addr, Ctx: CtxAny}]
-			}
-		}
-		if guardHit {
-			c.guardUops++
-			plans = append(plans, uopPlan{u: isa.Uop{
-				Type: isa.UGuardCheck, Dst: isa.RNone, Src1: isa.RNone, Src2: isa.RNone,
-				Injected: true,
-			}})
-			c.dec.Stats.InjectedUops++
-		}
-	}
 
 	switch {
 	case cfg.Variant == decode.VariantWatchdog:
@@ -185,7 +127,7 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 		}
 
 	case cfg.Variant.UsesTracker():
-		plans = s.instrumentTracked(c, rec, native, plans, sbm)
+		plans = s.instrumentTracked(c, rec, native, plans)
 
 	default: // insecure baseline
 		for i := range native {
@@ -258,19 +200,12 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 		c.eng.CommitThrough(rec.Seq)
 	}
 
-	// --- Live call-string fold (elision and guard lookups only). ---
+	// --- Live call-string fold (elision lookups only). ---
 	// Updated after the macro-op is fully processed so a CALL's own
 	// micro-ops (the return-address push) probe in the caller's context
 	// and a RET's in the callee's — matching the static attribution.
 	if cfg.ElideChecks {
 		c.ctxRetire(s, rec)
-	}
-
-	// Advance the superblock cursor past the replayed macro-op. This
-	// runs after ctxRetire so a terminal CALL/RET's fold transition is
-	// visible to the successor block's context check.
-	if sbm != nil {
-		s.sbAdvance(c, rec)
 	}
 	return c.firstViolation
 }
@@ -336,29 +271,20 @@ func (c *coreCtx) record(rip uint64, v *core.Violation) {
 
 // instrumentTracked runs the speculative pointer tracker over the native
 // micro-ops and applies the microcode customization unit's check-injection
-// decisions for the CHEx86 variants. When sbm is non-nil the macro-op is
-// replaying from a superblock: the instrumentation decisions that are
-// static per (address, macro index, context) — context-policy coverage
-// and the elision/guard-subsumption probes — come from the block's baked
-// masks instead of live map lookups; everything dynamic (tracker state,
-// alias machinery, effective addresses) is identical either way.
-func (s *Sim) instrumentTracked(c *coreCtx, rec *emu.Rec, native []isa.Uop, plans []uopPlan, sbm *sbMacro) []uopPlan {
+// decisions for the CHEx86 variants.
+func (s *Sim) instrumentTracked(c *coreCtx, rec *emu.Rec, native []isa.Uop, plans []uopPlan) []uopPlan {
 	cfg := &s.Cfg
 	seq := rec.Seq
 	rip := rec.Inst.Addr
 	ea := rec.EA
-	var covered bool
+	covered := cfg.Context.Covers(rip)
+
 	// Elision probe context: the live fold re-truncated to the depth the
 	// installed map was built at (constant per macro-op — the fold only
 	// advances at retirement, below).
 	var elideCtx CallCtx
-	if sbm != nil {
-		covered = sbm.covered
-	} else {
-		covered = cfg.Context.Covers(rip)
-		if cfg.ElideChecks {
-			elideCtx = c.liveCtx().Limit(cfg.ctxK())
-		}
+	if cfg.ElideChecks {
+		elideCtx = c.liveCtx().Limit(cfg.ctxK())
 	}
 
 	for i := range native {
@@ -396,37 +322,19 @@ func (s *Sim) instrumentTracked(c *coreCtx, rec *emu.Rec, native []isa.Uop, plan
 			// not match the native expansion the proof was keyed against.
 			// Two probes: the exact live context first, then the ⊤ entry
 			// holding in every context (context-insensitive proofs, and
-			// the only entries reachable once the fold is lost). On
-			// superblock replay the probe results were baked at build
-			// time under the block's context (validated at block entry),
-			// so the maps are not consulted.
+			// the only entries reachable once the fold is lost).
 			if doCheck && pid != 0 && cfg.ElideChecks && !c.microRerouted {
-				var hit, sub bool
-				if sbm != nil {
-					hit, sub = sbm.elide[i], sbm.subsume[i]
-				} else {
-					hitKey := ElideKey{Addr: rip, MacroIdx: u.MacroIdx, Ctx: elideCtx}
+				hitKey := ElideKey{Addr: rip, MacroIdx: u.MacroIdx, Ctx: elideCtx}
+				hit := s.elision[hitKey]
+				if !hit && !elideCtx.IsAny() {
+					hitKey.Ctx = CtxAny
 					hit = s.elision[hitKey]
-					if !hit && !elideCtx.IsAny() {
-						hitKey.Ctx = CtxAny
-						hit = s.elision[hitKey]
-					}
-					// Guard attribution: the suppressed check belongs to a
-					// verified hoisted guard when its elision key is in the
-					// guard map's covered set. Pure accounting — the
-					// decision above came from the elision map alone, so
-					// the executed check set is identical with guards on
-					// or off.
-					sub = hit && cfg.HoistGuards && s.guards.Covered[hitKey]
 				}
 				if hit {
 					inject = false
 					hwOnly = false
 					doCheck = false
 					c.elidedChecks++
-					if sub {
-						c.subsumedChecks++
-					}
 				}
 			}
 			if doCheck && pid != 0 {

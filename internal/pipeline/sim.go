@@ -170,11 +170,6 @@ type coreCtx struct {
 	elidedChecks  uint64 // checks suppressed at proven-safe sites
 	gatedMem      uint64 // memory uops gated on a capability-check token
 
-	// Guard-hoisting attribution (guard.go); kept out of Result so the
-	// guards-on/guards-off differential stays byte-identical.
-	guardUops      uint64 // guard-anchor activations committed
-	subsumedChecks uint64 // elided checks attributed to a hoisted guard
-
 	// microRerouted marks the current macro-op as translated through the
 	// writable microcode RAM: its micro-op numbering may differ from the
 	// native expansion the elision proofs were keyed against, so elision
@@ -205,15 +200,6 @@ type coreCtx struct {
 
 	// uc is the decoded-μop translation cache (uopcache.go).
 	uc uopCache
-
-	// Superblock translation layer (superblock.go): the per-core block
-	// cache, the active replay cursor with its macro index and chain
-	// depth, and the block under construction.
-	sb      sbCache
-	sbCur   *superblock
-	sbIdx   int
-	sbChain int
-	sbBuild sbBuilder
 
 	done    bool
 	uopBuf  []isa.Uop
@@ -264,16 +250,6 @@ type Sim struct {
 	// consulted only when Cfg.ElideChecks is set (see elide.go).
 	elision ElisionMap
 
-	// guards attributes elided checks to verified hoisted block guards;
-	// consulted only when Cfg.HoistGuards is set (see guard.go).
-	guards GuardMap
-
-	// sbEpoch is the elision/guard installation epoch: SetElisionMap and
-	// SetGuardMap bump it so superblocks whose baked masks were derived
-	// from an older map are invalidated before their next replay
-	// (superblock.go).
-	sbEpoch uint64
-
 	llc  *cache.LineCache
 	dram *mem.DRAM
 
@@ -282,8 +258,7 @@ type Sim struct {
 
 	Violations  []*core.Violation
 	invalidates uint64
-	warm        *Result    // snapshot at the warmup boundary
-	warmGuards  GuardStats // guard counters at the warmup boundary
+	warm        *Result // snapshot at the warmup boundary
 }
 
 // New constructs a simulation of prog under cfg with the given number of
@@ -528,7 +503,6 @@ func (s *Sim) Step(rounds int) (bool, error) {
 			}
 			progress = true
 			if s.warm == nil && s.Cfg.WarmupInsts > 0 && s.M.TotalInsts() >= s.Cfg.WarmupInsts {
-				s.warmGuards = s.rawGuardStats()
 				s.warm = s.result()
 			}
 			v := s.processRec(c, rec)

@@ -192,42 +192,11 @@ func TestCanonicalJSONIgnoresNoUopCache(t *testing.T) {
 	}
 }
 
-// TestElideDiffWithUopCache runs a tracked-variant simulation with both
-// elision and the μop cache enabled, ensuring the two mechanisms compose
-// (rerouted macro-ops stay non-elided even when replayed from the cache).
-func TestElideDiffWithUopCache(t *testing.T) {
-	p := workload.ByName("mcf")
-	if p == nil {
-		t.Fatal("mcf workload missing from catalog")
-	}
-	for _, noCache := range []bool{false, true} {
-		prog, err := p.Build(0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.MaxInsts = 12_000
-		cfg.ElideChecks = true
-		cfg.NoUopCache = noCache
-		sim, err := NewSim(prog, cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.SetElisionMap(ElisionMap{})
-		if _, err := sim.Run(); err != nil {
-			t.Fatalf("noCache=%v: %v", noCache, err)
-		}
-	}
-}
-
 func ExampleSim_UopCacheStats() {
 	p := workload.ByName("mcf")
 	prog, _ := p.Build(0.1)
 	cfg := DefaultConfig()
 	cfg.MaxInsts = 5000
-	// Superblock replay bypasses per-instruction μop-cache probes; turn it
-	// off so the hit rate reflects the cache this example demonstrates.
-	cfg.NoSuperblocks = true
 	sim, _ := NewSim(prog, cfg, 1)
 	_, _ = sim.Run()
 	st := sim.UopCacheStats()

@@ -139,12 +139,6 @@ type Bundle struct {
 	Regions    []RegionClaim    `json:"regions"`    // sorted by name
 	Invariants []BlockInvariant `json:"invariants"` // ⊤ layer by block, then per-context by (block, ctx)
 	Proofs     []Proof          `json:"proofs"`     // ⊤ layer by (addr, macroIdx), then per-context by (addr, macroIdx, ctx)
-
-	// Guards are the hoisted-guard claims synthesized from the proofs by
-	// the dominator/available-checks layer (guards.go), sorted by (block,
-	// ctx, region). Like the proofs, they are absent whenever control
-	// flow is not fully resolved.
-	Guards []GuardClaim `json:"guards,omitempty"`
 }
 
 // ProofBundle converts the analysis fixpoint into a serializable proof
@@ -214,7 +208,6 @@ func (a *Analysis) ProofBundle() *Bundle {
 		}
 	}
 	b.Proofs = append(b.Proofs, ctxProofs...)
-	b.Guards = a.guardClaims(b)
 	return b
 }
 
