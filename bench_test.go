@@ -287,29 +287,6 @@ func BenchmarkAblationContextSensitive(b *testing.B) {
 	benchAblation(b, func(c *pipeline.Config) { c.Context = pipeline.DefaultConfig().Context; c.Context.All = false })
 }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed in guest
-// macro-instructions per second (not a paper figure; a harness property).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	p := workload.ByName("gcc")
-	prog, err := p.Build(0.25)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		cfg := pipeline.DefaultConfig()
-		cfg.MaxInsts = 200_000
-		res, err := pipeline.New(prog, cfg, 1).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += res.MacroInsts
-	}
-	b.SetBytes(0)
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "guest-insts/s")
-}
-
 // BenchmarkWatchdogComparison reproduces the Section VII-C measurement:
 // Watchdog-style conservative instrumentation of every 64-bit load/store
 // vs CHEx86's prediction-driven scheme.

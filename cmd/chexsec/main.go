@@ -17,26 +17,18 @@ import (
 	"strings"
 
 	"chex86/internal/decode"
+	"chex86/internal/faultinject"
 	"chex86/internal/security"
 )
 
-var variants = map[string]decode.Variant{
-	"baseline":   decode.VariantInsecure,
-	"hardware":   decode.VariantHardwareOnly,
-	"bintrans":   decode.VariantBinaryTranslation,
-	"always-on":  decode.VariantMicrocodeAlwaysOn,
-	"prediction": decode.VariantMicrocodePrediction,
-	"watchdog":   decode.VariantWatchdog,
-}
-
 func main() {
 	suite := flag.String("suite", "", "restrict to one suite: RIPE | 'ASan tests' | How2Heap | 'False positives'")
-	variant := flag.String("variant", "prediction", "protection variant")
+	variant := flag.String("variant", "prediction", "protection variant: baseline|hardware|bintrans|always-on|prediction|asan|watchdog")
 	verbose := flag.Bool("v", false, "print every exploit outcome")
 	jsonPath := flag.String("json", "", "write per-exploit outcomes as JSON to this file")
 	flag.Parse()
 
-	v, ok := variants[strings.ToLower(*variant)]
+	v, ok := faultinject.VariantByName(*variant)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chexsec: unknown variant %q\n", *variant)
 		os.Exit(2)

@@ -16,30 +16,19 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"chex86/internal/asm"
 	"chex86/internal/core"
-	"chex86/internal/decode"
+	"chex86/internal/faultinject"
 	"chex86/internal/objfile"
 	"chex86/internal/patterns"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
 )
 
-var variants = map[string]decode.Variant{
-	"baseline":   decode.VariantInsecure,
-	"hardware":   decode.VariantHardwareOnly,
-	"bintrans":   decode.VariantBinaryTranslation,
-	"always-on":  decode.VariantMicrocodeAlwaysOn,
-	"prediction": decode.VariantMicrocodePrediction,
-	"asan":       decode.VariantASan,
-	"watchdog":   decode.VariantWatchdog,
-}
-
 func main() {
 	bench := flag.String("bench", "perlbench", "benchmark name (see -list)")
-	variant := flag.String("variant", "prediction", "protection variant: baseline|hardware|bintrans|always-on|prediction|asan")
+	variant := flag.String("variant", "prediction", "protection variant: baseline|hardware|bintrans|always-on|prediction|asan|watchdog")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (round-count multiplier)")
 	insts := flag.Uint64("insts", 0, "macro-instruction budget (0 = run to completion)")
 	checker := flag.Bool("checker", false, "enable the hardware checker co-processor")
@@ -59,7 +48,7 @@ func main() {
 		return
 	}
 
-	v, ok := variants[strings.ToLower(*variant)]
+	v, ok := faultinject.VariantByName(*variant)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chexsim: unknown variant %q\n", *variant)
 		os.Exit(2)
