@@ -33,13 +33,34 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(a)
 }
 
+// line is one cache way in 16 bytes: the tag word holds the line address
+// (addr / LineSize) in bits 0–60 and the valid, dirty and prefetched flags
+// in bits 63, 62 and 61; lru is the way's last-access stamp. A line size
+// of at least MinLineSize keeps bits 61–63 of every line address clear.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	pf    bool // filled by the prefetcher and not yet demand-hit
-	lru   uint64
+	tag uint64
+	lru uint64
 }
+
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	linePF    = 1 << 61 // filled by the prefetcher and not yet demand-hit
+
+	// lineKeyMask keeps the bits a lookup compares: line address and valid.
+	lineKeyMask = ^uint64(lineDirty | linePF)
+	// lineAddrMask keeps the line address alone.
+	lineAddrMask = linePF - 1
+
+	// MinLineSize is the smallest line size NewLineCache accepts: below
+	// 8 bytes a line address can reach the flag bits.
+	MinLineSize = 8
+
+	// chunkLines is the size of one chunk of line storage (256 KB). Sets
+	// take their ways from the current chunk at their first fill; a cache
+	// smaller than a chunk gets one chunk of its own size.
+	chunkLines = 16384
+)
 
 // LineCache is a set-associative, write-back, write-allocate cache over
 // memory lines.
@@ -48,9 +69,13 @@ type LineCache struct {
 	LineSize uint64
 	Latency  uint64 // hit latency in cycles
 
-	sets  int
+	// sets[s] holds set s's ways, nil until the set's first fill, so a
+	// run that touches few of a large cache's sets allocates lines for
+	// those alone.
+	sets  [][]line
 	ways  int
-	lines []line // flat set-major array: set s occupies lines[s*ways : (s+1)*ways]
+	chunk int    // lines per storage chunk, a multiple of ways
+	free  []line // unassigned rest of the current storage chunk
 	clock uint64
 	hitPF bool // last Access hit a prefetched line
 	Stats Stats
@@ -64,17 +89,21 @@ type LineCache struct {
 }
 
 // NewLineCache constructs a cache of sizeBytes capacity with the given
-// associativity, line size and hit latency.
+// associativity, line size (at least MinLineSize) and hit latency.
 func NewLineCache(name string, sizeBytes, ways int, lineSize, latency uint64) *LineCache {
+	if lineSize < MinLineSize {
+		panic(fmt.Sprintf("cache %s: line size %d below %d bytes", name, lineSize, MinLineSize))
+	}
 	nlines := sizeBytes / int(lineSize)
 	if nlines%ways != 0 {
 		panic(fmt.Sprintf("cache %s: %d lines not divisible by %d ways", name, nlines, ways))
 	}
 	sets := nlines / ways
-	c := &LineCache{Name: name, LineSize: lineSize, Latency: latency, sets: sets, ways: ways}
-	c.lines = make([]line, sets*ways)
+	c := &LineCache{Name: name, LineSize: lineSize, Latency: latency, ways: ways}
+	c.sets = make([][]line, sets)
+	c.chunk = min(sets, max(1, chunkLines/ways)) * ways
 	c.lineShift, c.setMask = -1, -1
-	if lineSize > 0 && lineSize&(lineSize-1) == 0 {
+	if lineSize&(lineSize-1) == 0 {
 		c.lineShift = bits.TrailingZeros64(lineSize)
 	}
 	if sets > 0 && sets&(sets-1) == 0 {
@@ -93,7 +122,31 @@ func (c *LineCache) index(addr uint64) (set int, tag uint64) {
 	if c.setMask >= 0 {
 		return int(lineAddr) & c.setMask, lineAddr
 	}
-	return int(lineAddr % uint64(c.sets)), lineAddr
+	return int(lineAddr % uint64(len(c.sets))), lineAddr
+}
+
+// alloc hands set its ways from the current storage chunk, starting a new
+// chunk when that one is used up.
+func (c *LineCache) alloc(set int) []line {
+	if len(c.free) == 0 {
+		c.free = make([]line, c.chunk)
+	}
+	ws := c.free[:c.ways:c.ways]
+	c.free = c.free[c.ways:]
+	c.sets[set] = ws
+	return ws
+}
+
+// find returns the resident line holding addr, or nil.
+func (c *LineCache) find(addr uint64) *line {
+	set, tag := c.index(addr)
+	ws := c.sets[set]
+	for w := range ws {
+		if ws[w].tag&lineKeyMask == tag|lineValid {
+			return &ws[w]
+		}
+	}
+	return nil
 }
 
 // Access looks up addr; write marks the line dirty on hit or fill.
@@ -102,14 +155,15 @@ func (c *LineCache) index(addr uint64) (set int, tag uint64) {
 func (c *LineCache) Access(addr uint64, write bool) (hit bool, wbAddr uint64, wb bool) {
 	set, tag := c.index(addr)
 	c.clock++
-	ws := c.lines[set*c.ways : set*c.ways+c.ways]
+	key := tag | lineValid
+	ws := c.sets[set]
 	for w := range ws {
-		if ws[w].valid && ws[w].tag == tag {
-			ws[w].lru = c.clock
-			c.hitPF = ws[w].pf
-			ws[w].pf = false
+		if l := &ws[w]; l.tag&lineKeyMask == key {
+			l.lru = c.clock
+			c.hitPF = l.tag&linePF != 0
+			l.tag &^= linePF
 			if write {
-				ws[w].dirty = true
+				l.tag |= lineDirty
 			}
 			c.Stats.Hits++
 			return true, 0, false
@@ -117,10 +171,13 @@ func (c *LineCache) Access(addr uint64, write bool) (hit bool, wbAddr uint64, wb
 	}
 	c.hitPF = false
 	c.Stats.Misses++
+	if ws == nil {
+		ws = c.alloc(set)
+	}
 	// Fill: choose invalid way or LRU victim.
 	victim := -1
 	for w := range ws {
-		if !ws[w].valid {
+		if ws[w].tag&lineValid == 0 {
 			victim = w
 			break
 		}
@@ -133,13 +190,16 @@ func (c *LineCache) Access(addr uint64, write bool) (hit bool, wbAddr uint64, wb
 			}
 		}
 		c.Stats.Evictions++
-		if ws[victim].dirty {
+		if ws[victim].tag&lineDirty != 0 {
 			c.Stats.Writebacks++
 			wb = true
-			wbAddr = ws[victim].tag * c.LineSize
+			wbAddr = (ws[victim].tag & lineAddrMask) * c.LineSize
 		}
 	}
-	ws[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	if write {
+		key |= lineDirty
+	}
+	ws[victim] = line{tag: key, lru: c.clock}
 	return false, wbAddr, wb
 }
 
@@ -150,35 +210,19 @@ func (c *LineCache) HitPrefetched() bool { return c.hitPF }
 // MarkPrefetched flags the resident line containing addr as
 // prefetcher-filled.
 func (c *LineCache) MarkPrefetched(addr uint64) {
-	set, tag := c.index(addr)
-	ws := c.lines[set*c.ways : set*c.ways+c.ways]
-	for w := range ws {
-		if ws[w].valid && ws[w].tag == tag {
-			ws[w].pf = true
-		}
+	if l := c.find(addr); l != nil {
+		l.tag |= linePF
 	}
 }
 
 // Contains reports whether addr is resident without updating LRU or stats.
-func (c *LineCache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, l := range c.lines[set*c.ways : set*c.ways+c.ways] {
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *LineCache) Contains(addr uint64) bool { return c.find(addr) != nil }
 
 // Invalidate drops the line containing addr if resident.
 func (c *LineCache) Invalidate(addr uint64) {
-	set, tag := c.index(addr)
-	ws := c.lines[set*c.ways : set*c.ways+c.ways]
-	for w := range ws {
-		if ws[w].valid && ws[w].tag == tag {
-			ws[w].valid = false
-			c.Stats.Invals++
-		}
+	if l := c.find(addr); l != nil {
+		l.tag &^= lineValid
+		c.Stats.Invals++
 	}
 }
 

@@ -392,9 +392,10 @@ const WatchdogShadowBase = 0x0000_2000_0000_0000
 // style software checks: for every memory micro-op, compute the shadow
 // address (1 ALU op), load the shadow byte (1 load), and test-and-branch on
 // it (2 ops). The shadow load's EA is derived from the access EA so the
-// checks exert real cache pressure.
-func (d *Decoder) ASanInstrument(native []isa.Uop) []isa.Uop {
-	out := make([]isa.Uop, 0, len(native)*4)
+// checks exert real cache pressure. The instrumented expansion is appended
+// to out (pass a reused buffer to avoid allocating) and returned.
+func (d *Decoder) ASanInstrument(native, out []isa.Uop) []isa.Uop {
+	start := len(out)
 	for i := range native {
 		u := &native[i]
 		if u.Type.IsMem() {
@@ -411,8 +412,8 @@ func (d *Decoder) ASanInstrument(native []isa.Uop) []isa.Uop {
 		}
 		out = append(out, *u)
 	}
-	for i := range out {
-		out[i].MacroIdx = uint8(i)
+	for i := start; i < len(out); i++ {
+		out[i].MacroIdx = uint8(i - start)
 	}
 	return out
 }

@@ -137,7 +137,7 @@ func TestASanInstrument(t *testing.T) {
 	in := isa.Inst{Op: isa.MOV, Dst: isa.RegOp(isa.RAX), Src: isa.MemOp(isa.RBX, 0)}
 	native := d.Native(&in, nil)
 	native[0].EA = 0x10000
-	out := d.ASanInstrument(native)
+	out := d.ASanInstrument(native, nil)
 	if len(out) != 6 {
 		t.Fatalf("ASan adds 5 check uops around the access, got %d total", len(out))
 	}

@@ -11,8 +11,10 @@ import (
 	"fmt"
 	"strings"
 
+	"chex86/internal/cache"
 	"chex86/internal/core"
 	"chex86/internal/decode"
+	"chex86/internal/isa"
 )
 
 // Config describes the simulated machine and protection scheme.
@@ -224,9 +226,26 @@ func (c Config) CanonicalJSON() []byte {
 	return data
 }
 
+// shadowWays is the associativity of the dedicated shadow-structure cache.
+const shadowWays = 8
+
+// fuCounts returns the functional-unit pool sizes indexed by FU class.
+func (c *Config) fuCounts() [isa.NumFUClasses]int {
+	return [isa.NumFUClasses]int{
+		isa.FUIntALU:     c.IntALU,
+		isa.FUIntMult:    c.IntMult,
+		isa.FUFPALU:      c.FPALU,
+		isa.FUSIMD:       c.SIMD,
+		isa.FULoad:       c.LoadPorts,
+		isa.FUStore:      c.StorePorts,
+		isa.FUBranchUnit: c.BranchUnits,
+	}
+}
+
 // validate rejects machine configurations that the structure constructors
-// would otherwise panic on (cache geometry constraints) plus degenerate
-// pipeline widths, so NewSim can fail with a structured error instead.
+// would otherwise panic on (cache geometry constraints, per-cycle
+// bandwidth counters that hold 1–255) plus degenerate pipeline widths, so
+// NewSim can fail with a structured error instead.
 func (c *Config) validate(harts int) error {
 	fail := func(format string, args ...any) error {
 		return &SimError{Kind: ErrConfig, Msg: fmt.Sprintf(format, args...)}
@@ -238,22 +257,33 @@ func (c *Config) validate(harts int) error {
 		return fail("fetch/issue/commit widths must be positive (%d/%d/%d)",
 			c.FetchWidth, c.IssueWidth, c.CommitWidth)
 	}
+	if c.IssueWidth > 255 || c.CommitWidth > 255 {
+		return fail("issue/commit widths must be at most 255 (%d/%d)", c.IssueWidth, c.CommitWidth)
+	}
+	for f, n := range c.fuCounts() {
+		if n < 1 || n > 255 {
+			return fail("%s pool size %d must be 1–255", isa.FUClass(f), n)
+		}
+	}
 	if c.ROBSize <= 0 || c.IQSize <= 0 || c.LQSize <= 0 || c.SQSize <= 0 {
 		return fail("ROB/IQ/LQ/SQ sizes must be positive (%d/%d/%d/%d)",
 			c.ROBSize, c.IQSize, c.LQSize, c.SQSize)
 	}
-	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
-		return fail("line size %d must be a power of two", c.LineSize)
+	if c.LineSize < cache.MinLineSize || c.LineSize&(c.LineSize-1) != 0 {
+		return fail("line size %d must be a power of two of at least %d bytes", c.LineSize, cache.MinLineSize)
 	}
-	caches := []struct {
-		name   string
-		sizeKB int
-		ways   int
-	}{
+	type geometry struct {
+		name         string
+		sizeKB, ways int
+	}
+	caches := []geometry{
 		{"L1I", c.L1ISizeKB, c.L1IWays},
 		{"L1D", c.L1DSizeKB, c.L1DWays},
 		{"L2", c.L2SizeKB, c.L2Ways},
 		{"LLC", c.LLCSizeKB, c.LLCWays},
+	}
+	if c.ShadowCacheKB != 0 { // 0 disables the shadow cache
+		caches = append(caches, geometry{"shadow cache", c.ShadowCacheKB, shadowWays})
 	}
 	for _, cc := range caches {
 		if cc.sizeKB <= 0 || cc.ways <= 0 {

@@ -118,7 +118,8 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 				buf[i].EA = rec.EA
 			}
 		}
-		instrumented := c.dec.ASanInstrument(buf)
+		instrumented := c.dec.ASanInstrument(buf, c.asanBuf[:0])
+		c.asanBuf = instrumented[:0]
 		for i := range instrumented {
 			plans = append(plans, uopPlan{u: instrumented[i]})
 		}

@@ -205,7 +205,7 @@ func TestIssueWindowOrderStatistic(t *testing.T) {
 // and never overbooks a cycle.
 func TestBandwidthProperty(t *testing.T) {
 	f := func(reqs []uint16) bool {
-		bw := newBandwidth(2)
+		bw := &bandwidth{width: 2}
 		counts := map[uint64]int{}
 		base := uint64(0)
 		for _, r := range reqs {

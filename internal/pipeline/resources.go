@@ -24,13 +24,6 @@ type bandwidth struct {
 	counts [bwWindow]uint8
 }
 
-func newBandwidth(width int) *bandwidth {
-	if width < 1 || width > 255 {
-		panic("bandwidth width out of range")
-	}
-	return &bandwidth{width: uint8(width)}
-}
-
 // reserve finds the first cycle at or after want with spare bandwidth,
 // consumes one slot, and returns that cycle.
 func (b *bandwidth) reserve(want uint64) uint64 {

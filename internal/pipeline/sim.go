@@ -146,10 +146,7 @@ type coreCtx struct {
 	blockedUntil uint64
 	curLine      uint64
 
-	// Back-end resources.
-	issueBW    *bandwidth
-	commitBW   *bandwidth
-	fuBW       [isa.NumFUClasses]*bandwidth
+	// Back-end resources (the bandwidth windows are the last fields).
 	rob        *occupancyRing
 	iq         *issueWindow
 	lq         *occupancyRing
@@ -203,9 +200,17 @@ type coreCtx struct {
 
 	done    bool
 	uopBuf  []isa.Uop
+	asanBuf []isa.Uop // scratch for ASanInstrument's expansion
 	planBuf []uopPlan
 	walkBuf []uint64 // scratch for AliasTable.WalkInto touch lists
 	recsRun uint64
+
+	// The nine per-cycle bandwidth windows are values, so a core is one
+	// allocation instead of ten. They hold no pointers and come last, so
+	// the collector's scan of a core ends before them.
+	issueBW  bandwidth
+	commitBW bandwidth
+	fuBW     [isa.NumFUClasses]bandwidth
 }
 
 // Sim runs one guest program on the simulated machine under one protection
@@ -353,8 +358,6 @@ func (s *Sim) newCore(id int) *coreCtx {
 		capCache:   core.NewCapCache(cfg.CapCacheEntries),
 		aliasCache: tracker.NewAliasCache(cfg.AliasCacheEntries, cfg.AliasVictim),
 		tlb:        mem.NewTLB(cfg.TLBEntries, cfg.TLBWays, s.PT),
-		issueBW:    newBandwidth(cfg.IssueWidth),
-		commitBW:   newBandwidth(cfg.CommitWidth),
 		rob:        newOccupancyRing(cfg.ROBSize),
 		fetchRing:  newOccupancyRing(cfg.ROBSize + 64),
 		iq:         newIssueWindow(cfg.IQSize),
@@ -367,17 +370,11 @@ func (s *Sim) newCore(id int) *coreCtx {
 	if cfg.EnableChecker {
 		c.checker = tracker.NewChecker(s.M.Truth, c.eng.Tags)
 	}
-	fuCounts := [isa.NumFUClasses]int{
-		isa.FUIntALU:     cfg.IntALU,
-		isa.FUIntMult:    cfg.IntMult,
-		isa.FUFPALU:      cfg.FPALU,
-		isa.FUSIMD:       cfg.SIMD,
-		isa.FULoad:       cfg.LoadPorts,
-		isa.FUStore:      cfg.StorePorts,
-		isa.FUBranchUnit: cfg.BranchUnits,
-	}
-	for f := isa.FUClass(0); f < isa.NumFUClasses; f++ {
-		c.fuBW[f] = newBandwidth(fuCounts[f])
+	// validate has bounded every width to 1–255.
+	c.issueBW.width = uint8(cfg.IssueWidth)
+	c.commitBW.width = uint8(cfg.CommitWidth)
+	for f, n := range cfg.fuCounts() {
+		c.fuBW[f].width = uint8(n)
 	}
 	c.hier = cache.Hierarchy{
 		Lane: id,
@@ -389,7 +386,7 @@ func (s *Sim) newCore(id int) *coreCtx {
 	}
 	c.hier.NoPrefetch = cfg.NoPrefetch
 	if cfg.ShadowCacheKB > 0 {
-		c.hier.Shadow = cache.NewLineCache("shadow", cfg.ShadowCacheKB*1024, 8, cfg.LineSize, 4)
+		c.hier.Shadow = cache.NewLineCache("shadow", cfg.ShadowCacheKB*1024, shadowWays, cfg.LineSize, 4)
 	}
 	return c
 }

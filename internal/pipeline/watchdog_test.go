@@ -156,17 +156,40 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 // TestNewSimConfigError: invalid configurations surface as ErrConfig from
-// NewSim, and the legacy New wrapper panics on them.
+// NewSim, never as a constructor panic, and the legacy New wrapper panics
+// on them.
 func TestNewSimConfigError(t *testing.T) {
 	prog := livelockProg(t)
 	cfg := DefaultConfig()
 	if _, err := NewSim(prog, cfg, 0); !isConfigErr(err) {
 		t.Fatalf("zero harts: want ErrConfig, got %v", err)
 	}
-	bad := DefaultConfig()
-	bad.LineSize = 48 // not a power of two
-	if _, err := NewSim(prog, bad, 1); !isConfigErr(err) {
-		t.Fatalf("bad line size: want ErrConfig, got %v", err)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"line size not a power of two", func(c *Config) { c.LineSize = 48 }},
+		{"line size below 8 bytes", func(c *Config) { c.LineSize = 4 }},
+		{"empty multiplier pool", func(c *Config) { c.IntMult = 0 }},
+		{"ALU pool above 255", func(c *Config) { c.IntALU = 256 }},
+		{"negative load ports", func(c *Config) { c.LoadPorts = -1 }},
+		{"issue width above 255", func(c *Config) { c.IssueWidth = 300 }},
+		{"commit width above 255", func(c *Config) { c.CommitWidth = 256 }},
+		{"shadow cache lines not divisible by its ways", func(c *Config) { c.ShadowCacheKB, c.LineSize = 1, 256 }},
+		{"negative shadow cache", func(c *Config) { c.ShadowCacheKB = -1 }},
+	} {
+		bad := DefaultConfig()
+		tc.edit(&bad)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: NewSim panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := NewSim(prog, bad, 1); !isConfigErr(err) {
+				t.Fatalf("%s: want ErrConfig, got %v", tc.name, err)
+			}
+		}()
 	}
 	if _, err := NewSim(nil, cfg, 1); !isConfigErr(err) {
 		t.Fatalf("nil program: want ErrConfig, got %v", err)
