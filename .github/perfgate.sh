@@ -6,16 +6,20 @@
 #
 # Run from anywhere inside the repository. The base revision is checked
 # out in a git worktree under the ignored .bench_build/ and removed on
-# exit. For seeds 1-10 the chexmark spec-ptr workload runs traced for 20 s
-# on the base and on the head alternately, odd seeds base first, so a
-# drift in host speed lands on both sides. Run records and both -compare
-# tables are left in .bench_build/perfgate/.
+# exit. Ten times over, the chexmark spec-ptr workload runs traced for
+# 20 s on the base and on the head alternately, odd runs base first, so a
+# drift in host speed lands on both sides. Every run uses seed 0, the
+# committed profiles: a regression gate needs the same input on both
+# sides, and then the quartile distance of a side's runs measures host
+# noise rather than ten different programs. Both sides write
+# run-01.json ... run-10.json, which -compare pairs in order. Run records
+# and both -compare tables are left in .bench_build/perfgate/.
 #
 # Both comparisons use the base's chexmark binary, so the decision rule is
 # always the one already merged, never one the head edits. The gate reads
 # the comparison reversed, head as baseline and base as candidate, so an
 # "improved" verdict means the base beat the head by chexmark's own rule
-# for a gain: better in at least 9 of 10 seed pairs, by a median gap
+# for a gain: better in at least 9 of 10 run pairs, by a median gap
 # larger than the quartile distance of the head's runs. It fails when
 # that table reads "improved" on kinst_per_s.insecure,
 # kinst_per_s.prediction or host.allocs_per_kinst, when the comparison
@@ -46,22 +50,24 @@ cleanup
 mkdir -p "$out/base" "$out/head"
 git worktree add --detach "$wt" "$base_rev" >/dev/null
 
-run() { # run <checkout> <side> <seed>
-	(cd "$1" && bash bench/run.sh --workload spec-ptr --seed "$3" --seconds 20 --trace 1 \
-		-o "$out/$2/seed-$3.json") >"$out/$2/seed-$3.txt" 2>&1 || {
-		cat "$out/$2/seed-$3.txt" >&2
+run() { # run <checkout> <side> <run number>
+	local name
+	name=$(printf 'run-%02d' "$3")
+	(cd "$1" && bash bench/run.sh --workload spec-ptr --seed 0 --seconds 20 --trace 1 \
+		-o "$out/$2/$name.json") >"$out/$2/$name.txt" 2>&1 || {
+		cat "$out/$2/$name.txt" >&2
 		return 1
 	}
-	echo "perfgate: $2 seed $3 done"
+	echo "perfgate: $2 $name done"
 }
 
-for seed in $(seq 1 10); do
-	if [ $((seed % 2)) -eq 1 ]; then
-		run "$wt" base "$seed"
-		run "$root" head "$seed"
+for i in $(seq 1 10); do
+	if [ $((i % 2)) -eq 1 ]; then
+		run "$wt" base "$i"
+		run "$root" head "$i"
 	else
-		run "$root" head "$seed"
-		run "$wt" base "$seed"
+		run "$root" head "$i"
+		run "$wt" base "$i"
 	fi
 done
 

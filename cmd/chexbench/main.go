@@ -401,7 +401,7 @@ func runCampaign(f campaignFlags) error {
 	var jobs []*campaign.Job
 	for _, vname := range strings.Split(f.variants, ",") {
 		vname = strings.TrimSpace(vname)
-		v, ok := campaign.VariantByName(vname)
+		v, ok := decode.ParseVariant(vname)
 		if !ok {
 			return fmt.Errorf("unknown variant %q", vname)
 		}
@@ -500,7 +500,7 @@ func runKinst(benches, variants string, scale float64, insts uint64) error {
 	}
 	var vs []decode.Variant
 	for _, vname := range strings.Split(variants, ",") {
-		v, ok := campaign.VariantByName(strings.TrimSpace(vname))
+		v, ok := decode.ParseVariant(strings.TrimSpace(vname))
 		if !ok {
 			return fmt.Errorf("unknown variant %q", vname)
 		}

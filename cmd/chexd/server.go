@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"chex86/internal/campaign"
+	"chex86/internal/decode"
 	"chex86/internal/fabric"
 	"chex86/internal/faultinject"
 	"chex86/internal/lockstep"
@@ -87,7 +88,7 @@ func (s *server) spec(req *jobRequest) (campaign.Spec, error) {
 	case campaign.ModeBench:
 		cfg := pipeline.DefaultConfig()
 		if req.Variant != "" {
-			v, ok := campaign.VariantByName(req.Variant)
+			v, ok := decode.ParseVariant(req.Variant)
 			if !ok {
 				return campaign.Spec{}, fmt.Errorf("unknown variant %q", req.Variant)
 			}

@@ -35,8 +35,8 @@ import (
 	"strings"
 	"time"
 
+	"chex86/internal/decode"
 	"chex86/internal/elide"
-	"chex86/internal/faultinject"
 	"chex86/internal/ptrflow"
 	"chex86/internal/workload"
 )
@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	variant, ok := faultinject.VariantByName(*variantFlag)
+	variant, ok := decode.ParseVariant(*variantFlag)
 	if !ok {
 		fail(fmt.Errorf("unknown variant %q", *variantFlag))
 	}

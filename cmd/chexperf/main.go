@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"chex86/internal/decode"
-	"chex86/internal/faultinject"
 	"chex86/internal/hostperf"
 	"chex86/internal/workload"
 )
@@ -106,7 +105,7 @@ func measureAll(clock hostperf.Clock, benches, variants string, scale float64, i
 	}
 	var vs []decode.Variant
 	for _, name := range strings.Split(variants, ",") {
-		v, ok := faultinject.VariantByName(strings.TrimSpace(name))
+		v, ok := decode.ParseVariant(strings.TrimSpace(name))
 		if !ok {
 			return nil, fmt.Errorf("unknown variant %q", name)
 		}

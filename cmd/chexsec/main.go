@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"chex86/internal/decode"
-	"chex86/internal/faultinject"
 	"chex86/internal/security"
 )
 
@@ -28,7 +27,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write per-exploit outcomes as JSON to this file")
 	flag.Parse()
 
-	v, ok := faultinject.VariantByName(*variant)
+	v, ok := decode.ParseVariant(*variant)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chexsec: unknown variant %q\n", *variant)
 		os.Exit(2)

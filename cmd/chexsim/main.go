@@ -19,7 +19,7 @@ import (
 
 	"chex86/internal/asm"
 	"chex86/internal/core"
-	"chex86/internal/faultinject"
+	"chex86/internal/decode"
 	"chex86/internal/objfile"
 	"chex86/internal/patterns"
 	"chex86/internal/pipeline"
@@ -48,7 +48,7 @@ func main() {
 		return
 	}
 
-	v, ok := faultinject.VariantByName(*variant)
+	v, ok := decode.ParseVariant(*variant)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chexsim: unknown variant %q\n", *variant)
 		os.Exit(2)

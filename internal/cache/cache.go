@@ -383,11 +383,10 @@ func (h *Hierarchy) access(l1 *LineCache, addr uint64, write bool, now uint64) u
 
 func (h *Hierarchy) llcAndBelow(addr uint64, write bool, now uint64) uint64 {
 	lat := h.LLC.Latency
-	hit, wbAddr, wb := h.LLC.Access(addr, write)
+	hit, _, wb := h.LLC.Access(addr, write)
 	if wb {
 		h.Ram.AccessLane(h.LLC.LineSize, true, now, h.Lane)
 	}
-	_ = wbAddr
 	if hit {
 		return lat
 	}

@@ -24,7 +24,6 @@ package campaign
 import (
 	"fmt"
 
-	"chex86/internal/decode"
 	"chex86/internal/faultinject"
 	"chex86/internal/lockstep"
 	"chex86/internal/pipeline"
@@ -240,41 +239,11 @@ func benchResult(r *pipeline.Result) *BenchResult {
 func (s *Spec) variantName() string {
 	switch s.Mode {
 	case ModeBench:
-		return VariantName(s.config().Variant)
+		return s.config().Variant.ShortName()
 	case ModeFault:
 		if len(s.Fault.Variants) == 1 {
 			return s.Fault.Variants[0]
 		}
 	}
 	return ""
-}
-
-// VariantByName resolves a protection-variant name ("prediction",
-// "baseline", "asan", ...) for service front-ends; it accepts the same
-// names as chexfault.
-func VariantByName(name string) (decode.Variant, bool) {
-	return faultinject.VariantByName(name)
-}
-
-// VariantName is VariantByName's inverse: the short canonical name used in
-// specs, reports, and the chexd API (Variant.String() is the long display
-// name).
-func VariantName(v decode.Variant) string {
-	switch v {
-	case decode.VariantInsecure:
-		return "baseline"
-	case decode.VariantHardwareOnly:
-		return "hardware"
-	case decode.VariantBinaryTranslation:
-		return "bintrans"
-	case decode.VariantMicrocodeAlwaysOn:
-		return "always-on"
-	case decode.VariantMicrocodePrediction:
-		return "prediction"
-	case decode.VariantASan:
-		return "asan"
-	case decode.VariantWatchdog:
-		return "watchdog"
-	}
-	return v.String()
 }

@@ -45,7 +45,7 @@ func execBench(ctx context.Context, spec *Spec) (*Result, error) {
 		Schema:   ResultSchema,
 		Mode:     ModeBench,
 		Workload: spec.Workload,
-		Variant:  VariantName(spec.config().Variant),
+		Variant:  spec.config().Variant.ShortName(),
 		Bench:    benchResult(res),
 	}, nil
 }

@@ -7,6 +7,8 @@
 package decode
 
 import (
+	"strings"
+
 	"chex86/internal/core"
 	"chex86/internal/isa"
 )
@@ -297,12 +299,48 @@ var variantNames = [NumVariants]string{
 	"Watchdog-style (conservative uop instrumentation)",
 }
 
+// variantShortNames are the short names the CLIs, campaign specs, the
+// chexd API and reports use; ParseVariant also accepts "insecure" for the
+// baseline.
+var variantShortNames = [NumVariants]string{
+	"baseline",
+	"hardware",
+	"bintrans",
+	"always-on",
+	"prediction",
+	"asan",
+	"watchdog",
+}
+
 // String names the variant as in Figure 6's legend.
 func (v Variant) String() string {
 	if v < NumVariants {
 		return variantNames[v]
 	}
 	return "variant?"
+}
+
+// ShortName is the variant's short name, the one ParseVariant resolves
+// (String is the long display name, too wide for tables and JSON keys).
+func (v Variant) ShortName() string {
+	if v < NumVariants {
+		return variantShortNames[v]
+	}
+	return v.String()
+}
+
+// ParseVariant resolves a short variant name, ignoring case.
+func ParseVariant(name string) (Variant, bool) {
+	name = strings.ToLower(name)
+	if name == "insecure" {
+		return VariantInsecure, true
+	}
+	for v, n := range variantShortNames {
+		if n == name {
+			return Variant(v), true
+		}
+	}
+	return 0, false
 }
 
 // Protected reports whether the variant provides memory-safety protection.

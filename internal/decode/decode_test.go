@@ -240,3 +240,22 @@ func TestMicrocodeFirstMatchWins(t *testing.T) {
 		t.Fatalf("installation order must decide precedence, got %d uops", len(out))
 	}
 }
+
+// TestVariantNamesRoundTrip pins the one variant-name table every CLI
+// parses through: each variant's short name resolves back to it, the
+// "insecure" alias names the baseline, and an unknown name is refused.
+func TestVariantNamesRoundTrip(t *testing.T) {
+	for v := Variant(0); v < NumVariants; v++ {
+		name := v.ShortName()
+		got, ok := ParseVariant(name)
+		if !ok || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v, true", name, got, ok, v)
+		}
+	}
+	if got, ok := ParseVariant("insecure"); !ok || got != VariantInsecure {
+		t.Errorf("ParseVariant(%q) = %v, %v; want %v, true", "insecure", got, ok, VariantInsecure)
+	}
+	if got, ok := ParseVariant("no-such-variant"); ok {
+		t.Errorf("ParseVariant(%q) = %v, true; want false", "no-such-variant", got)
+	}
+}

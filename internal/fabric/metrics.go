@@ -126,18 +126,3 @@ func (m *CacheMetrics) Snapshot() CacheMetricsSnapshot {
 		Misses:      m.Misses.Load(),
 	}
 }
-
-// Render writes the counters in the text exposition format.
-func (s CacheMetricsSnapshot) Render() string {
-	var b strings.Builder
-	row := func(name string, v int64) {
-		fmt.Fprintf(&b, "fabric_cache_%s %d\n", name, v)
-	}
-	row("local_hits", s.LocalHits)
-	row("peer_hits", s.PeerHits)
-	row("peer_misses", s.PeerMisses)
-	row("peer_errors", s.PeerErrors)
-	row("peer_corrupt", s.PeerCorrupt)
-	row("misses", s.Misses)
-	return b.String()
-}

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 
 	"chex86/internal/asm"
 	"chex86/internal/core"
@@ -94,28 +93,6 @@ const (
 	// ClassPanic: the run panicked. Always a campaign failure.
 	ClassPanic Class = "panic"
 )
-
-// VariantByName resolves the CLI protection-variant names shared by
-// chexsim/chexbench/chexfault.
-func VariantByName(name string) (decode.Variant, bool) {
-	switch strings.ToLower(name) {
-	case "baseline", "insecure":
-		return decode.VariantInsecure, true
-	case "hardware":
-		return decode.VariantHardwareOnly, true
-	case "bintrans":
-		return decode.VariantBinaryTranslation, true
-	case "always-on":
-		return decode.VariantMicrocodeAlwaysOn, true
-	case "prediction":
-		return decode.VariantMicrocodePrediction, true
-	case "asan":
-		return decode.VariantASan, true
-	case "watchdog":
-		return decode.VariantWatchdog, true
-	}
-	return 0, false
-}
 
 // Config parameterizes a campaign. Zero values take the defaults noted on
 // each field.
@@ -319,7 +296,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	for _, v := range cfg.Variants {
-		if _, ok := VariantByName(v); !ok {
+		if _, ok := decode.ParseVariant(v); !ok {
 			return nil, fmt.Errorf("faultinject: unknown variant %q", v)
 		}
 	}
@@ -378,7 +355,7 @@ func runOne(cfg *Config, w, v string, site Site) (rr RunReport) {
 		return rr
 	}
 
-	variant, _ := VariantByName(v)
+	variant, _ := decode.ParseVariant(v)
 	pcfg := pipeline.DefaultConfig()
 	pcfg.Variant = variant
 	pcfg.WarmupInsts = prof.SetupInsts()

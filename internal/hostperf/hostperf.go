@@ -30,30 +30,6 @@ import (
 // clock; tests bind a counter.
 type Clock func() int64
 
-// VariantName returns the short canonical variant name used in baseline
-// keys and report columns — the same spelling faultinject.VariantByName
-// accepts and campaign specs use (Variant.String() is the long display
-// form, too wide for tables and too fragile for JSON keys).
-func VariantName(v decode.Variant) string {
-	switch v {
-	case decode.VariantInsecure:
-		return "baseline"
-	case decode.VariantHardwareOnly:
-		return "hardware"
-	case decode.VariantBinaryTranslation:
-		return "bintrans"
-	case decode.VariantMicrocodeAlwaysOn:
-		return "always-on"
-	case decode.VariantMicrocodePrediction:
-		return "prediction"
-	case decode.VariantASan:
-		return "asan"
-	case decode.VariantWatchdog:
-		return "watchdog"
-	}
-	return v.String()
-}
-
 // Sample is one (workload, variant) throughput measurement.
 type Sample struct {
 	Workload string  `json:"workload"`
@@ -133,7 +109,7 @@ func Measure(clock Clock, p *workload.Profile, v decode.Variant, opts MeasureOpt
 	}
 	return Sample{
 		Workload: p.Name,
-		Variant:  VariantName(v),
+		Variant:  v.ShortName(),
 		Insts:    res.MacroInsts,
 		WallNS:   wall,
 		Allocs:   msAfter.Mallocs - msBefore.Mallocs,

@@ -457,13 +457,12 @@ func (s *Sim) instrumentTracked(c *coreCtx, rec *emu.Rec, native []isa.Uop, plan
 			if u.AccessSize() < 8 {
 				src = isa.RNone // force the clear path
 			}
-			if pidStored, updated := c.eng.StoreAlias(seq, ea, src); updated {
+			if _, updated := c.eng.StoreAlias(seq, ea, src); updated {
 				c.aliasCache.Access(ea &^ 7)
 				if leaf := s.Ali.LeafAddr(ea); leaf != 0 && !cfg.NoAliasWalks {
 					c.hier.AccessShadowAt(leaf, true, true, c.lastCommit)
 				}
 				s.invalidateAlias(c, ea&^7)
-				_ = pidStored
 			}
 
 		default:

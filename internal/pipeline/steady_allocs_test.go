@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -32,17 +33,42 @@ func steadyLoopProgram() *asm.Program {
 	return b.MustBuild()
 }
 
-func steadySim(tb testing.TB, v decode.Variant) *Sim {
+// churnLoopRecs is the number of committed records in one iteration of
+// churnLoopProgram's loop, the malloc and free calls with their exits
+// included.
+const churnLoopRecs = 11
+
+// churnLoopProgram builds a non-terminating guest that mallocs a buffer,
+// stores to and loads from it, and frees it on every iteration, so the
+// allocator interception, capability create/revoke and tracker paths run
+// each time round the loop.
+func churnLoopProgram() *asm.Program {
+	b := asm.NewBuilder()
+	b.Label("loop")
+	b.MovRI(isa.RDI, 64)
+	b.CallAddr(heap.MallocEntry)
+	b.MovRR(isa.R12, isa.RAX)
+	b.MovRI(isa.RCX, 3)
+	b.StoreIdx(isa.R12, isa.RCX, 8, 0, isa.RCX)
+	b.LoadIdx(isa.RBX, isa.R12, isa.RCX, 8, 0)
+	b.MovRR(isa.RDI, isa.R12)
+	b.CallAddr(heap.FreeEntry)
+	b.Jmp("loop")
+	return b.MustBuild()
+}
+
+// steadySim builds a Sim for prog on the given harts and steps it warmup
+// rounds, past allocator interception, first-touch page materialization
+// and structure growth, so only the steady state is measured.
+func steadySim(tb testing.TB, prog *asm.Program, v decode.Variant, harts, warmup int) *Sim {
 	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.Variant = v
-	sim, err := NewSim(steadyLoopProgram(), cfg, 1)
+	sim, err := NewSim(prog, cfg, harts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Warm up past allocator interception, first-touch page materialization,
-	// and structure growth so only the steady state is measured.
-	if _, err := sim.Step(5000); err != nil {
+	if _, err := sim.Step(warmup); err != nil {
 		tb.Fatal(err)
 	}
 	return sim
@@ -51,14 +77,23 @@ func steadySim(tb testing.TB, v decode.Variant) *Sim {
 // TestProcessRecSteadyStateAllocs asserts the zero-allocation contract of
 // the hot loop under every variant: one full Sim.Step — emulator step,
 // record pooling, decode (μop cache hit), instrumentation, and timing —
-// must not allocate in steady state. The prediction variant's tracker
-// structures may still grow occasionally (map rehashing amortizes), so its
-// bound is near-zero rather than zero.
+// must not allocate in steady state on the allocation-quiet loop. The
+// prediction variant's tracker structures may still grow occasionally
+// (map rehashing amortizes), so its bound is near-zero rather than zero.
+//
+// The same table runs a loop that mallocs and frees every iteration, at
+// one and two harts. Each guest malloc allocates one host object for the
+// emulator's ground-truth span (emu.Truth.Add) and, under the variants
+// that track pointers, one for its capability (core.Table.GenBegin);
+// those per-allocation records are the bound, so any other allocation on
+// the malloc/free path fails the row. AllocsPerRun
+// truncates to whole allocations per run, so each run steps one full
+// loop iteration per hart.
 func TestProcessRecSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct {
+	variants := []struct {
 		name    string
 		variant decode.Variant
-		max     float64 // objects per instruction
+		max     float64 // objects per run
 	}{
 		{"insecure", decode.VariantInsecure, 0},
 		{"hardware-only", decode.VariantHardwareOnly, 0},
@@ -67,18 +102,33 @@ func TestProcessRecSteadyStateAllocs(t *testing.T) {
 		{"prediction", decode.VariantMicrocodePrediction, 0.05},
 		{"asan", decode.VariantASan, 0},
 		{"watchdog", decode.VariantWatchdog, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sim := steadySim(t, tc.variant)
-			n := testing.AllocsPerRun(2000, func() {
-				if _, err := sim.Step(1); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if n > tc.max {
-				t.Fatalf("steady-state Sim.Step allocates %.3f objects/instruction, want <= %v", n, tc.max)
+	}
+	check := func(t *testing.T, sim *Sim, runs, rounds int, bound float64) {
+		n := testing.AllocsPerRun(runs, func() {
+			if _, err := sim.Step(rounds); err != nil {
+				t.Fatal(err)
 			}
 		})
+		if n > bound {
+			t.Fatalf("steady-state Sim.Step(%d) allocates %.3f objects/run, want <= %v", rounds, n, bound)
+		}
+	}
+	for _, tc := range variants {
+		t.Run(tc.name, func(t *testing.T) {
+			check(t, steadySim(t, steadyLoopProgram(), tc.variant, 1, 5000), 2000, 1, tc.max)
+		})
+	}
+	for _, harts := range []int{1, 2} {
+		for _, tc := range variants {
+			perMalloc := 1
+			if tc.variant.UsesTracker() {
+				perMalloc = 2
+			}
+			bound := tc.max + float64(harts*perMalloc)
+			t.Run(fmt.Sprintf("malloc-free-%dhart-%s", harts, tc.name), func(t *testing.T) {
+				check(t, steadySim(t, churnLoopProgram(), tc.variant, harts, 20000), 5000, churnLoopRecs, bound)
+			})
+		}
 	}
 }
 

@@ -228,7 +228,7 @@ func (p *Profile) Build(scale float64) (*asm.Program, error) {
 	b := g.b
 
 	// Shared globals.
-	bufTab := g.global("buftab", uint64(prof.MaxLive)*8)
+	g.global("buftab", uint64(prof.MaxLive)*8)
 	g.pool("pbuftab", "buftab")
 	noiseLen := 256
 	noise := g.global("noise", uint64(noiseLen)*8)
@@ -242,7 +242,6 @@ func (p *Profile) Build(scale float64) (*asm.Program, error) {
 		}
 		b.DataU64(noise+uint64(i)*8, v)
 	}
-	_ = bufTab
 
 	// Per-thread visit schedules as initialized globals.
 	scheds := make([][]schedGlobal, threads)
