@@ -129,30 +129,37 @@ func factLE(a, b fact) bool {
 }
 
 // cstate is the checker's dataflow state (mirror of the analyzer's, with
-// the checker's own fact domain).
+// the checker's own fact domain). A decoded block invariant claim has the
+// same shape, so claims are cstates too.
 type cstate struct {
-	regs  [isa.NumRegs]fact
-	rsp   int64
-	rspOK bool
-	frame map[int64]fact // nil = slot addressing lost
-	free  bool
+	regs    [isa.NumRegs]fact
+	rsp     int64
+	rspOK   bool
+	frameOK bool    // false: slot addressing lost, every frame load reads top
+	frame   []cslot // sorted by offset; empty unless frameOK
+	free    bool
+}
+
+// cslot is one stack-frame slot's fact, keyed by entry-relative offset.
+type cslot struct {
+	off int64
+	f   fact
 }
 
 func newEntryCState() *cstate {
-	s := &cstate{rspOK: true, frame: map[int64]fact{}}
+	s := &cstate{rspOK: true, frameOK: true}
 	for i := range s.regs {
 		s.regs[i] = notPtrF
 	}
 	return s
 }
 
-func (s *cstate) clone() *cstate {
-	c := *s
-	c.frame = make(map[int64]fact, len(s.frame))
-	for k, v := range s.frame {
-		c.frame[k] = v
-	}
-	return &c
+// copyFrom overwrites s with o, reusing s's frame storage: the checker
+// transfers every block on reused scratch states.
+func (s *cstate) copyFrom(o *cstate) {
+	frame := append(s.frame[:0], o.frame...)
+	*s = *o
+	s.frame = frame
 }
 
 func (s *cstate) reg(r isa.Reg) fact {
@@ -162,18 +169,49 @@ func (s *cstate) reg(r isa.Reg) fact {
 	return s.regs[r]
 }
 
-// invariant is a decoded block invariant claim.
-type invariant struct {
-	regs    [isa.NumRegs]fact
-	rspOK   bool
-	rsp     int64
-	frameOK bool
-	frame   map[int64]fact
-	free    bool
+// slotIndex binary-searches the frame for off, returning its index or
+// the index it would be inserted at.
+func (s *cstate) slotIndex(off int64) (int, bool) {
+	lo, hi := 0, len(s.frame)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.frame[m].off < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.frame) && s.frame[lo].off == off
+}
+
+// slotAt returns the fact of the frame slot at off.
+func (s *cstate) slotAt(off int64) (fact, bool) {
+	if i, ok := s.slotIndex(off); ok {
+		return s.frame[i].f, true
+	}
+	return fact{}, false
+}
+
+// setSlot strongly updates the frame slot at off, inserting it in order.
+func (s *cstate) setSlot(off int64, f fact) {
+	i, ok := s.slotIndex(off)
+	if !ok {
+		s.frame = append(s.frame, cslot{})
+		copy(s.frame[i+1:], s.frame[i:])
+	}
+	s.frame[i] = cslot{off: off, f: f}
+}
+
+// loseFrame drops slot addressing.
+func (s *cstate) loseFrame() {
+	s.frameOK = false
+	s.frame = s.frame[:0]
 }
 
 // stateLE checks containment of a computed state in a claimed invariant.
-func stateLE(s *cstate, inv *invariant) error {
+// Claimed frame slots are checked in ascending offset order, so a failing
+// claim always names the lowest failing slot.
+func stateLE(s, inv *cstate) error {
 	for i := range s.regs {
 		if !factLE(s.regs[i], inv.regs[i]) {
 			return fmt.Errorf("reg %s: %v ⋢ %v", isa.Reg(i), s.regs[i], inv.regs[i])
@@ -183,13 +221,13 @@ func stateLE(s *cstate, inv *invariant) error {
 		return fmt.Errorf("rsp claim %d not established", inv.rsp)
 	}
 	if inv.frameOK {
-		if s.frame == nil {
+		if !s.frameOK {
 			return fmt.Errorf("frame claimed but slot addressing lost")
 		}
-		for off, fv := range inv.frame {
-			sv, ok := s.frame[off]
-			if !ok || !factLE(sv, fv) {
-				return fmt.Errorf("frame slot %d: claim not established", off)
+		for _, c := range inv.frame {
+			sv, ok := s.slotAt(c.off)
+			if !ok || !factLE(sv, c.f) {
+				return fmt.Errorf("frame slot %d: claim not established", c.off)
 			}
 		}
 	}
@@ -236,13 +274,17 @@ type checker struct {
 	relocSlot map[uint64]string
 	claims    map[string]fact // claimed region store summaries
 	poison    fact            // claimed unknown-EA store contribution
-	invs      map[int]*invariant
+	invs      map[int]*cstate // claimed block invariants
 
 	// Context-sensitive layer claims: per-(block, call-string) invariants
 	// and the deterministic order they were decoded in (the bundle's
 	// canonical sorted order), which the per-context induction iterates.
-	ctxInvs  map[ctxInvKey]*invariant
+	ctxInvs  map[ctxInvKey]*cstate
 	ctxOrder []ctxInvKey
+
+	// st and edge are the scratch states every block transfer and
+	// refined edge is computed in.
+	st, edge cstate
 
 	anyFree     bool  // checker-derived release reachability
 	heapMin     int64 // checker-derived min allocation lower bound (-1 unset)
@@ -265,8 +307,8 @@ func newChecker(prog *asm.Program, b *ptrflow.Bundle, harts int, hints map[uint6
 		regions:   map[string]*regionMeta{},
 		relocSlot: map[uint64]string{},
 		claims:    map[string]fact{},
-		invs:      map[int]*invariant{},
-		ctxInvs:   map[ctxInvKey]*invariant{},
+		invs:      map[int]*cstate{},
+		ctxInvs:   map[ctxInvKey]*cstate{},
 		heapMin:   -1,
 	}
 	if ck.harts <= 0 {
@@ -445,17 +487,23 @@ func (ck *checker) decodeClaims() error {
 	}
 	for i := range ck.bundle.Invariants {
 		bi := &ck.bundle.Invariants[i]
+		for j := 1; j < len(bi.Frame); j++ {
+			if bi.Frame[j].Off <= bi.Frame[j-1].Off {
+				return fmt.Errorf("invariant for block %d: frame slots not strictly ascending at offset %d",
+					bi.Block, bi.Frame[j].Off)
+			}
+		}
 		if len(bi.Regs) != int(isa.NumRegs) {
 			continue // malformed claim: block treated as invariant-less
 		}
-		inv := &invariant{rspOK: bi.RSPOK, rsp: bi.RSP, frameOK: bi.FrameOK, free: bi.Free}
+		inv := &cstate{rspOK: bi.RSPOK, rsp: bi.RSP, frameOK: bi.FrameOK, free: bi.Free}
 		for r := range inv.regs {
 			inv.regs[r] = factFrom(bi.Regs[r])
 		}
 		if bi.FrameOK {
-			inv.frame = make(map[int64]fact, len(bi.Frame))
-			for _, sf := range bi.Frame {
-				inv.frame[sf.Off] = factFrom(sf.Fact)
+			inv.frame = make([]cslot, len(bi.Frame))
+			for j, sf := range bi.Frame {
+				inv.frame[j] = cslot{off: sf.Off, f: factFrom(sf.Fact)}
 			}
 		}
 		if bi.Ctx == "" || bi.Ctx == pipeline.CtxAny.String() {
@@ -694,8 +742,8 @@ func (ck *checker) loadFact(st *cstate, u *isa.Uop) fact {
 		return ck.readRegionF(ck.regionNameAt(addr))
 	}
 	if m.Base == isa.RSP && !m.Index.Valid() {
-		if st.rspOK && st.frame != nil {
-			if v, ok := st.frame[st.rsp+m.Disp]; ok {
+		if st.rspOK && st.frameOK {
+			if v, ok := st.slotAt(st.rsp + m.Disp); ok {
 				return v
 			}
 		}
@@ -882,7 +930,7 @@ func trackRSPF(st *cstate, u *isa.Uop) {
 		return
 	}
 	st.rspOK = false
-	st.frame = nil
+	st.loseFrame()
 }
 
 // transferUop applies one micro-op to the checker state.
@@ -957,10 +1005,10 @@ func (ck *checker) storeEffectF(st *cstate, u *isa.Uop, sv fact) {
 		return
 	}
 	if m.Base == isa.RSP && !m.Index.Valid() {
-		if st.rspOK && st.frame != nil {
-			st.frame[st.rsp+m.Disp] = sv
+		if st.rspOK && st.frameOK {
+			st.setSlot(st.rsp+m.Disp, sv)
 		} else {
-			st.frame = nil
+			st.loseFrame()
 		}
 		return
 	}
@@ -975,8 +1023,8 @@ func (ck *checker) storeEffectF(st *cstate, u *isa.Uop, sv fact) {
 // collects the checker's own allocation-size and release facts.
 func (ck *checker) externalCallF(st *cstate, target uint64) {
 	retPop := func() {
-		if st.rspOK && st.frame != nil {
-			if v, ok := st.frame[st.rsp]; ok {
+		if st.rspOK && st.frameOK {
+			if v, ok := st.slotAt(st.rsp); ok {
 				st.regs[isa.T0] = v
 			} else {
 				st.regs[isa.T0] = topF
@@ -1011,7 +1059,7 @@ func (ck *checker) externalCallF(st *cstate, target uint64) {
 			st.regs[i] = topF
 		}
 		st.rspOK = false
-		st.frame = nil
+		st.loseFrame()
 		st.free = true
 		ck.checkStoreClaim("", topF)
 	}
@@ -1186,20 +1234,14 @@ func (ck *checker) verifyInduction() error {
 			continue // unreached per the bundle; nothing flows out of it
 		}
 		b := &g.Blocks[bi]
-		st := stateFromInv(inv)
-		cmp := ck.transferBlockF(b, st, nil)
+		ck.st.copyFrom(inv)
+		cmp := ck.transferBlockF(b, &ck.st, nil)
 		for _, succ := range b.Succs {
 			sinv, ok := ck.invs[succ]
 			if !ok {
 				return fmt.Errorf("block %d flows into block %d which has no invariant", bi, succ)
 			}
-			es := st
-			if cmp.ok && b.TakenSucc >= 0 && b.TakenSucc != b.FallSucc &&
-				(succ == b.TakenSucc || succ == b.FallSucc) {
-				es = st.clone()
-				refineF(es, cmp, b.Cond, succ == b.TakenSucc)
-			}
-			if err := stateLE(es, sinv); err != nil {
+			if err := stateLE(ck.edgeState(b, cmp, succ), sinv); err != nil {
 				return fmt.Errorf("block %d -> %d not inductive: %v", bi, succ, err)
 			}
 		}
@@ -1213,16 +1255,18 @@ func (ck *checker) verifyInduction() error {
 	return nil
 }
 
-func stateFromInv(inv *invariant) *cstate {
-	st := &cstate{rsp: inv.rsp, rspOK: inv.rspOK, free: inv.free}
-	st.regs = inv.regs
-	if inv.frameOK {
-		st.frame = make(map[int64]fact, len(inv.frame))
-		for k, v := range inv.frame {
-			st.frame[k] = v
-		}
+// edgeState returns the transferred state ck.st along one successor
+// edge: refined by the block's trailing compare into ck.edge on a JCC
+// edge whose taken and fall-through targets differ, ck.st itself
+// otherwise.
+func (ck *checker) edgeState(b *ptrflow.Block, cmp cmpRec, succ int) *cstate {
+	if cmp.ok && b.TakenSucc >= 0 && b.TakenSucc != b.FallSucc &&
+		(succ == b.TakenSucc || succ == b.FallSucc) {
+		ck.edge.copyFrom(&ck.st)
+		refineF(&ck.edge, cmp, b.Cond, succ == b.TakenSucc)
+		return &ck.edge
 	}
-	return st
+	return &ck.st
 }
 
 // heapChunkMin returns the checker's own lower bound on heap chunk
@@ -1246,7 +1290,7 @@ func (ck *checker) verifyProof(p *ptrflow.Proof) error {
 		return fmt.Errorf("site %#x.%d: no containing block", p.Addr, p.MacroIdx)
 	}
 	var (
-		inv *invariant
+		inv *cstate
 		ok  bool
 	)
 	if p.Ctx == "" || p.Ctx == pipeline.CtxAny.String() {
@@ -1267,8 +1311,8 @@ func (ck *checker) verifyProof(p *ptrflow.Proof) error {
 	}
 	var siteErr error
 	found := false
-	st := stateFromInv(inv)
-	ck.transferBlockF(b, st, func(in *isa.Inst, u *isa.Uop, cur *cstate) {
+	ck.st.copyFrom(inv)
+	ck.transferBlockF(b, &ck.st, func(in *isa.Inst, u *isa.Uop, cur *cstate) {
 		if found || in.Addr != p.Addr || u.MacroIdx != p.MacroIdx {
 			return
 		}

@@ -60,7 +60,7 @@ func (ck *checker) verifyCtxInduction() error {
 			return fmt.Errorf("block %d claimed at context %s but has no ⊤ invariant",
 				key.block, key.ctx)
 		}
-		if err := stateLE(stateFromInv(ck.ctxInvs[key]), anyInv); err != nil {
+		if err := stateLE(ck.ctxInvs[key], anyInv); err != nil {
 			return fmt.Errorf("block %d context %s not subsumed by ⊤ invariant: %v",
 				key.block, key.ctx, err)
 		}
@@ -89,7 +89,7 @@ func (ck *checker) verifyCtxInduction() error {
 		}
 	}
 
-	require := func(key ctxInvKey, from ctxInvKey) (*invariant, error) {
+	require := func(key ctxInvKey, from ctxInvKey) (*cstate, error) {
 		inv, ok := ck.ctxInvs[key]
 		if !ok {
 			return nil, fmt.Errorf("block %d context %s flows into block %d context %s which has no invariant",
@@ -111,7 +111,8 @@ func (ck *checker) verifyCtxInduction() error {
 
 	for _, key := range ck.ctxOrder {
 		b := &g.Blocks[key.block]
-		st := stateFromInv(ck.ctxInvs[key])
+		st := &ck.st
+		st.copyFrom(ck.ctxInvs[key])
 		cmp := ck.transferBlockF(b, st, nil)
 		last := &g.Prog.Insts[b.End-1]
 		switch {
@@ -133,13 +134,7 @@ func (ck *checker) verifyCtxInduction() error {
 			}
 		default:
 			for _, succ := range b.Succs {
-				es := st
-				if cmp.ok && b.TakenSucc >= 0 && b.TakenSucc != b.FallSucc &&
-					(succ == b.TakenSucc || succ == b.FallSucc) {
-					es = st.clone()
-					refineF(es, cmp, b.Cond, succ == b.TakenSucc)
-				}
-				if err := flow(es, ctxInvKey{block: succ, ctx: key.ctx}, key); err != nil {
+				if err := flow(ck.edgeState(b, cmp, succ), ctxInvKey{block: succ, ctx: key.ctx}, key); err != nil {
 					return err
 				}
 			}

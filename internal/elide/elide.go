@@ -115,11 +115,16 @@ func ForProgram(prog *asm.Program, opt Options) (*Report, error) {
 
 // FromAnalysis verifies an existing analysis' proof bundle.
 func FromAnalysis(prog *asm.Program, an *ptrflow.Analysis, opt Options) *Report {
+	return verify(prog, an.ProofBundle(), an.SortedSites(), opt)
+}
+
+// verify checks bundle against prog and decides every site in sites (the
+// analyzer's sorted site order) into a report.
+func verify(prog *asm.Program, bundle *ptrflow.Bundle, sites []*ptrflow.Site, opt Options) *Report {
 	harts := opt.Harts
 	if harts <= 0 {
 		harts = 1
 	}
-	bundle := an.ProofBundle()
 	rep := &Report{Harts: harts, CtxK: bundle.CtxK, Map: pipeline.ElisionMap{}}
 
 	type key struct {
@@ -151,7 +156,6 @@ func FromAnalysis(prog *asm.Program, an *ptrflow.Analysis, opt Options) *Report 
 		rep.HeapMinChunk = ck.heapChunkMin()
 	}
 
-	sites := an.SortedSites()
 	for _, s := range sites {
 		k := key{s.Addr, s.MacroIdx}
 		d := SiteDecision{Addr: s.Addr, MacroIdx: s.MacroIdx, Ctx: ctxAny, Store: s.Store, Status: "keep"}

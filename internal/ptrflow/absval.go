@@ -198,6 +198,17 @@ func (v Value) eq(o Value) bool {
 	return v.Tag == o.Tag && v.Region == o.Region && v.Assumed == o.Assumed && v.Rng == o.Rng
 }
 
+// canonical reports whether v has the form join itself produces: bot, or
+// a region only on a ptr value and a full interval wherever the interval
+// has no meaning. join and widenValue are idempotent on canonical values
+// (join(v, v) == v == widenValue(v, v); TestJoinIdempotentOnCanonical
+// walks the cases), so joinValue skips joining two equal canonical
+// values.
+func (v Value) canonical() bool {
+	return v.Tag == TagBot ||
+		((v.Tag == TagPtr || v.Region == "") && (v.Rng == ivFull || v.rangeMeaningful()))
+}
+
 // classifyPID maps a concrete PID to its lattice element, mirroring the
 // tracker's three tag classes.
 func classifyPID(pid core.PID) Tag {

@@ -168,16 +168,30 @@ const unmappedRegion = "@unmapped"
 // heap chunk may already have been released on a path reaching the point
 // (free joins as logical OR — required for the temporal side of safety
 // proofs, see proof.go).
+//
+// The frame is a list sorted by offset. frameOK false means slot
+// addressing is lost (every frame load reads top); the list is then
+// empty. The transfer loses slot addressing exactly when it loses the
+// RSP displacement, so frameOK equals rspOK here; the flag is separate
+// because the bundle's FrameOK claim is, and a copy must carry it.
 type state struct {
-	regs  [isa.NumRegs]Value
-	rsp   int64
-	rspOK bool
-	frame map[int64]Value
-	free  bool
+	regs    [isa.NumRegs]Value
+	rsp     int64
+	rspOK   bool
+	frameOK bool
+	frame   []slot
+	free    bool
+}
+
+// slot is one stack-frame slot's fact, keyed by its entry-relative RSP
+// offset.
+type slot struct {
+	off int64
+	v   Value
 }
 
 func newEntryState() *state {
-	s := &state{rspOK: true, frame: map[int64]Value{}}
+	s := &state{rspOK: true, frameOK: true}
 	for i := range s.regs {
 		s.regs[i] = notPtr // all tags start at 0
 	}
@@ -205,13 +219,58 @@ func (c *cmpFact) invalidateOnWrite(dst isa.Reg) {
 	}
 }
 
+// copyFrom overwrites s with o, reusing s's frame storage. The block
+// transfers run on scratch states filled this way, so a state is
+// allocated only when it becomes a node's stored entry fact (clone).
+func (s *state) copyFrom(o *state) {
+	frame := append(s.frame[:0], o.frame...)
+	*s = *o
+	s.frame = frame
+}
+
 func (s *state) clone() *state {
-	c := *s
-	c.frame = make(map[int64]Value, len(s.frame))
-	for k, v := range s.frame {
-		c.frame[k] = v
+	c := &state{}
+	c.copyFrom(s)
+	return c
+}
+
+// slotAt returns the fact of the frame slot at off.
+func (s *state) slotAt(off int64) (Value, bool) {
+	if i, ok := s.slotIndex(off); ok {
+		return s.frame[i].v, true
 	}
-	return &c
+	return Value{}, false
+}
+
+// slotIndex binary-searches the frame for off, returning its index or
+// the index it would be inserted at.
+func (s *state) slotIndex(off int64) (int, bool) {
+	lo, hi := 0, len(s.frame)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.frame[m].off < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.frame) && s.frame[lo].off == off
+}
+
+// setSlot strongly updates the frame slot at off, inserting it in order.
+func (s *state) setSlot(off int64, v Value) {
+	i, ok := s.slotIndex(off)
+	if !ok {
+		s.frame = append(s.frame, slot{})
+		copy(s.frame[i+1:], s.frame[i:])
+	}
+	s.frame[i] = slot{off: off, v: v}
+}
+
+// loseFrame drops slot addressing: every slot is suspect afterwards.
+func (s *state) loseFrame() {
+	s.frameOK = false
+	s.frame = s.frame[:0]
 }
 
 // reg reads a register tag, mirroring Tags.Current: invalid registers
@@ -235,9 +294,7 @@ func (s *state) joinInto(o *state, widen bool) bool {
 		jv = widenValue
 	}
 	for i := range s.regs {
-		j := jv(s.regs[i], o.regs[i])
-		if !j.eq(s.regs[i]) {
-			s.regs[i] = j
+		if joinValue(&s.regs[i], o.regs[i], jv) {
 			changed = true
 		}
 	}
@@ -249,26 +306,43 @@ func (s *state) joinInto(o *state, widen bool) bool {
 		s.rspOK = false
 		changed = true
 	}
-	if !s.rspOK && s.frame != nil {
-		s.frame = nil
+	if !s.rspOK && s.frameOK {
+		s.loseFrame()
 		changed = true
 	}
-	if s.frame != nil {
-		for k, v := range s.frame {
-			ov, ok := o.frame[k]
-			if !ok {
-				delete(s.frame, k)
-				changed = true
-				continue
-			}
-			j := jv(v, ov)
-			if !j.eq(v) {
-				s.frame[k] = j
-				changed = true
-			}
+	// Intersect the two sorted frames in place.
+	kept, j := 0, 0
+	for _, sl := range s.frame {
+		for j < len(o.frame) && o.frame[j].off < sl.off {
+			j++
 		}
+		if j == len(o.frame) || o.frame[j].off != sl.off {
+			changed = true
+			continue
+		}
+		if joinValue(&sl.v, o.frame[j].v, jv) {
+			changed = true
+		}
+		s.frame[kept] = sl
+		kept++
 	}
+	s.frame = s.frame[:kept]
 	return changed
+}
+
+// joinValue joins o into *v with jv (join or widenValue), reporting
+// whether *v changed. Equal canonical values skip the join, which is
+// idempotent on them.
+func joinValue(v *Value, o Value, jv func(a, b Value) Value) bool {
+	if v.eq(o) && v.canonical() {
+		return false
+	}
+	j := jv(*v, o)
+	if j.eq(*v) {
+		return false
+	}
+	*v = j
+	return true
 }
 
 // refineByCond narrows the numeric ranges of the compared registers along
@@ -452,9 +526,10 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 	regionsDirty := false
 	a.onRegionChange = func() { regionsDirty = true }
 
-	// Edge states (a.edgeState, context.go) apply conditional-branch
-	// refinement on JCC edges; the context-sensitive pass shares the
-	// same helper.
+	// Every transfer runs on the scratch state st; edgeState (context.go)
+	// refines a copy of it into edge on JCC edges. The context-sensitive
+	// pass does the same with a pair of its own.
+	var st, edge state
 
 	for len(work) > 0 {
 		id := work[0]
@@ -466,11 +541,11 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 			return nil, fmt.Errorf("ptrflow: fixpoint exceeded %d block transfers (diverging lattice?)", maxTransfers)
 		}
 
-		st := in[id].clone()
-		cmp := a.transferBlock(g, &g.Blocks[id], st, db, &dec, &uopBuf, nil)
+		st.copyFrom(in[id])
+		cmp := a.transferBlock(g, &g.Blocks[id], &st, db, &dec, &uopBuf, nil)
 
 		for _, succ := range g.Blocks[id].Succs {
-			es := a.edgeState(&g.Blocks[id], st, cmp, succ)
+			es := edgeState(&g.Blocks[id], &st, cmp, succ, &edge)
 			if in[succ] == nil {
 				in[succ] = es.clone()
 				push(succ)
@@ -507,10 +582,10 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 				continue
 			}
 			a.Stats.Transfers++
-			st := in[id].clone()
-			cmp := a.transferBlock(g, &g.Blocks[id], st, db, &dec, &uopBuf, nil)
+			st.copyFrom(in[id])
+			cmp := a.transferBlock(g, &g.Blocks[id], &st, db, &dec, &uopBuf, nil)
 			for _, succ := range g.Blocks[id].Succs {
-				es := a.edgeState(&g.Blocks[id], st, cmp, succ)
+				es := edgeState(&g.Blocks[id], &st, cmp, succ, &edge)
 				if next[succ] == nil {
 					next[succ] = es.clone()
 				} else {
@@ -535,8 +610,8 @@ func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
 			a.recordUnreached(g, &g.Blocks[bi], &dec, &uopBuf)
 			continue
 		}
-		st := in[bi].clone()
-		a.transferBlock(g, &g.Blocks[bi], st, db, &dec, &uopBuf, a.recordSite)
+		st.copyFrom(in[bi])
+		a.transferBlock(g, &g.Blocks[bi], &st, db, &dec, &uopBuf, a.recordSite)
 	}
 	a.collect = false
 	if !a.allocUnknown && a.allocMin > 0 {
@@ -1118,7 +1193,7 @@ func (a *Analysis) trackRSP(st *state, u *isa.Uop) {
 		return
 	}
 	st.rspOK = false
-	st.frame = nil
+	st.loseFrame()
 }
 
 // applyRegRule is the abstract mirror of Engine.ApplyRegRule: first
@@ -1156,8 +1231,8 @@ func (a *Analysis) loadValue(st *state, u *isa.Uop) Value {
 		return a.readRegion(a.regionNameAt(addr))
 	}
 	if m.Base == isa.RSP && !m.Index.Valid() {
-		if st.rspOK && st.frame != nil {
-			if v, ok := st.frame[st.rsp+m.Disp]; ok {
+		if st.rspOK && st.frameOK {
+			if v, ok := st.slotAt(st.rsp + m.Disp); ok {
 				return v
 			}
 		}
@@ -1184,10 +1259,10 @@ func (a *Analysis) storeEffect(st *state, u *isa.Uop, sv Value) {
 		return
 	}
 	if m.Base == isa.RSP && !m.Index.Valid() {
-		if st.rspOK && st.frame != nil {
-			st.frame[st.rsp+m.Disp] = sv
+		if st.rspOK && st.frameOK {
+			st.setSlot(st.rsp+m.Disp, sv)
 		} else {
-			st.frame = nil // somewhere on the stack: every slot is suspect
+			st.loseFrame() // somewhere on the stack: every slot is suspect
 		}
 		return
 	}
@@ -1207,8 +1282,8 @@ func (a *Analysis) applyExternalCall(st *state, target uint64) {
 	// The callee's synthetic RET pops the return address pushed by the
 	// call's own store micro-op (already interpreted by the caller block).
 	retPop := func() {
-		if st.rspOK && st.frame != nil {
-			if v, ok := st.frame[st.rsp]; ok {
+		if st.rspOK && st.frameOK {
+			if v, ok := st.slotAt(st.rsp); ok {
 				st.regs[isa.T0] = v
 			} else {
 				st.regs[isa.T0] = top
@@ -1251,7 +1326,7 @@ func (a *Analysis) applyExternalCall(st *state, target uint64) {
 			st.regs[i] = top
 		}
 		st.rspOK = false
-		st.frame = nil
+		st.loseFrame()
 		st.free = true
 		a.poisonAll(top)
 	}

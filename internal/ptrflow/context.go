@@ -71,16 +71,17 @@ func (s *Site) SortedCtxs() []*SiteCtx {
 }
 
 // edgeState produces the outgoing state along one successor edge,
-// applying conditional-branch refinement on JCC edges. When the taken
-// and fall-through edges reach the same block the refinements would
-// have to be joined back together, which is the unrefined state — so
-// refinement is skipped there.
-func (a *Analysis) edgeState(b *Block, st *state, cmp cmpFact, succ int) *state {
+// applying conditional-branch refinement on JCC edges: the refined state
+// is written into buf, which is returned; an unrefined edge returns st
+// itself. When the taken and fall-through edges reach the same block the
+// refinements would have to be joined back together, which is the
+// unrefined state — so refinement is skipped there.
+func edgeState(b *Block, st *state, cmp cmpFact, succ int, buf *state) *state {
 	if cmp.ok && b.TakenSucc >= 0 && b.TakenSucc != b.FallSucc &&
 		(succ == b.TakenSucc || succ == b.FallSucc) {
-		es := st.clone()
-		refineByCond(es, cmp, b.Cond, succ == b.TakenSucc)
-		return es
+		buf.copyFrom(st)
+		refineByCond(buf, cmp, b.Cond, succ == b.TakenSucc)
+		return buf
 	}
 	return st
 }
@@ -151,6 +152,10 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 		}
 	}
 
+	// Transfers run on the scratch state st and refine edges into edge,
+	// as in the context-insensitive pass.
+	var st, edge state
+
 	// propagate distributes one node's post-state along its context-
 	// aware edges. During the ascending fixpoint dst is the add closure
 	// above; the narrowing sweeps pass a joining-only sink.
@@ -176,7 +181,7 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 			}
 		default:
 			for _, succ := range b.Succs {
-				dst(ctxKey{Block: succ, Ctx: key.Ctx}, a.edgeState(b, st, cmp, succ))
+				dst(ctxKey{Block: succ, Ctx: key.Ctx}, edgeState(b, st, cmp, succ, &edge))
 			}
 		}
 	}
@@ -195,9 +200,9 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 		if transfers > maxTransfers {
 			return fmt.Errorf("ptrflow: context fixpoint exceeded %d block transfers (diverging lattice?)", maxTransfers)
 		}
-		st := in[key].clone()
-		cmp := a.transferBlock(g, &g.Blocks[key.Block], st, db, dec, buf, nil)
-		propagate(key, st, cmp, add)
+		st.copyFrom(in[key])
+		cmp := a.transferBlock(g, &g.Blocks[key.Block], &st, db, dec, buf, nil)
+		propagate(key, &st, cmp, add)
 	}
 
 	// Narrowing: descending re-applications over the discovered node
@@ -218,9 +223,9 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 		}
 		for _, key := range order {
 			transfers++
-			st := in[key].clone()
-			cmp := a.transferBlock(g, &g.Blocks[key.Block], st, db, dec, buf, nil)
-			propagate(key, st, cmp, sink)
+			st.copyFrom(in[key])
+			cmp := a.transferBlock(g, &g.Blocks[key.Block], &st, db, dec, buf, nil)
+			propagate(key, &st, cmp, sink)
 		}
 		for _, key := range order {
 			if ns, ok := next[key]; ok {
@@ -234,9 +239,9 @@ func (a *Analysis) analyzeContexts(db *tracker.RuleDB, dec *decode.Decoder, buf 
 
 	// Per-context site collection over the narrowed fixpoint.
 	for _, key := range order {
-		st := in[key].clone()
+		st.copyFrom(in[key])
 		ctx := key.Ctx
-		a.transferBlock(g, &g.Blocks[key.Block], st, db, dec, buf,
+		a.transferBlock(g, &g.Blocks[key.Block], &st, db, dec, buf,
 			func(inst *isa.Inst, u *isa.Uop, deref Value, ea eaFact) {
 				a.recordSiteCtx(ctx, inst, u, deref, ea)
 			})

@@ -225,7 +225,7 @@ func sortCtxKeys(keys []ctxKey) {
 
 func invariantOf(id int, ctx string, st *state) BlockInvariant {
 	inv := BlockInvariant{Block: id, Ctx: ctx, RSPOK: st.rspOK, Free: st.free,
-		FrameOK: st.frame != nil}
+		FrameOK: st.frameOK}
 	if st.rspOK {
 		inv.RSP = st.rsp
 	}
@@ -233,25 +233,10 @@ func invariantOf(id int, ctx string, st *state) BlockInvariant {
 	for i := range st.regs {
 		inv.Regs[i] = factOf(st.regs[i])
 	}
-	if st.frame != nil {
-		offs := make([]int64, 0, len(st.frame))
-		for off := range st.frame {
-			offs = append(offs, off)
-		}
-		sortInt64s(offs)
-		for _, off := range offs {
-			inv.Frame = append(inv.Frame, SlotFact{Off: off, Fact: factOf(st.frame[off])})
-		}
+	for _, sl := range st.frame { // already sorted by offset
+		inv.Frame = append(inv.Frame, SlotFact{Off: sl.off, Fact: factOf(sl.v)})
 	}
 	return inv
-}
-
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func (a *Analysis) globalByName(name string) *asm.Global {

@@ -426,6 +426,43 @@ func TestAbsPropagateSoundness(t *testing.T) {
 	}
 }
 
+// TestJoinIdempotentOnCanonical backs joinValue's skip of equal values:
+// join(v, v) and widenValue(v, v) return v for every canonical v. The
+// cases cover each tag, region presence and interval shape join tells
+// apart. A non-canonical value, such as a region-less ptr with a bounded
+// offset, does move under join, which is why the skip asks canonical
+// first.
+func TestJoinIdempotentOnCanonical(t *testing.T) {
+	ivs := []Interval{ivEmpty, {Lo: 5, Hi: 2}, ivFull, ivConst(0), {Lo: -5, Hi: 7},
+		{Lo: negInf, Hi: 3}, {Lo: 3, Hi: posInf}}
+	canonical, moved := 0, 0
+	for tag := TagBot; tag <= TagTop; tag++ {
+		for _, region := range []string{"", "g", HeapRegion} {
+			for _, assumed := range []bool{false, true} {
+				for _, rng := range ivs {
+					v := Value{Tag: tag, Region: region, Assumed: assumed, Rng: rng}
+					if !v.canonical() {
+						if !join(v, v).eq(v) {
+							moved++
+						}
+						continue
+					}
+					canonical++
+					if j := join(v, v); !j.eq(v) {
+						t.Errorf("join(%+v, itself) = %+v", v, j)
+					}
+					if w := widenValue(v, v); !w.eq(v) {
+						t.Errorf("widenValue(%+v, itself) = %+v", v, w)
+					}
+				}
+			}
+		}
+	}
+	if canonical == 0 || moved == 0 {
+		t.Fatalf("%d canonical cases, %d non-canonical cases moved by join; want both", canonical, moved)
+	}
+}
+
 // --- Cross-check ------------------------------------------------------
 
 func TestCrosscheckCleanProgram(t *testing.T) {
