@@ -217,14 +217,19 @@ type TLBStats struct {
 // metadata (including the alias-hosting bit). A miss costs a page-table
 // walk, charged by the caller.
 type TLB struct {
-	sets  int
-	ways  int
-	pt    *PageTable
-	tags  [][]uint64 // page base per way; 0 = invalid (page 0 never cached)
-	lru   [][]uint64
-	ptes  [][]PTE
-	clock uint64
-	Stats TLBStats
+	sets    int
+	ways    int
+	pt      *PageTable
+	entries []tlbEntry // set-major: set s holds entries[s*ways : (s+1)*ways]
+	clock   uint64
+	Stats   TLBStats
+}
+
+// tlbEntry is one way of a TLB set.
+type tlbEntry struct {
+	tag uint64 // page base; 0 = invalid (page 0 never cached)
+	lru uint64
+	pte PTE
 }
 
 // NewTLB returns a TLB with the given geometry backed by pt.
@@ -232,52 +237,44 @@ func NewTLB(entries, ways int, pt *PageTable) *TLB {
 	if entries%ways != 0 {
 		panic(fmt.Sprintf("mem: TLB entries %d not divisible by ways %d", entries, ways))
 	}
-	sets := entries / ways
-	t := &TLB{sets: sets, ways: ways, pt: pt}
-	t.tags = make([][]uint64, sets)
-	t.lru = make([][]uint64, sets)
-	t.ptes = make([][]PTE, sets)
-	for i := 0; i < sets; i++ {
-		t.tags[i] = make([]uint64, ways)
-		t.lru[i] = make([]uint64, ways)
-		t.ptes[i] = make([]PTE, ways)
-	}
-	return t
+	return &TLB{sets: entries / ways, ways: ways, pt: pt, entries: make([]tlbEntry, entries)}
+}
+
+// set returns the ways of the set the page at base maps to.
+func (t *TLB) set(base uint64) []tlbEntry {
+	s := int((base / PageSize) % uint64(t.sets))
+	return t.entries[s*t.ways : (s+1)*t.ways]
 }
 
 // Lookup translates addr, returning its PTE and whether the TLB hit.
 func (t *TLB) Lookup(addr uint64) (PTE, bool) {
 	base := PageBase(addr)
-	set := int((base / PageSize) % uint64(t.sets))
+	ws := t.set(base)
 	t.clock++
-	for w := 0; w < t.ways; w++ {
-		if t.tags[set][w] == base && base != 0 {
-			t.lru[set][w] = t.clock
+	for w := range ws {
+		if ws[w].tag == base && base != 0 {
+			ws[w].lru = t.clock
 			t.Stats.Hits++
-			return t.ptes[set][w], true
+			return ws[w].pte, true
 		}
 	}
 	t.Stats.Misses++
 	pte := t.pt.Lookup(base)
 	// Fill, evicting the LRU way.
 	victim := 0
-	for w := 1; w < t.ways; w++ {
-		if t.lru[set][w] < t.lru[set][victim] {
+	for w := 1; w < len(ws); w++ {
+		if ws[w].lru < ws[victim].lru {
 			victim = w
 		}
 	}
-	t.tags[set][victim] = base
-	t.ptes[set][victim] = pte
-	t.lru[set][victim] = t.clock
+	ws[victim] = tlbEntry{tag: base, lru: t.clock, pte: pte}
 	return pte, false
 }
 
 // Flush invalidates the whole TLB (a context switch), preserving stats.
 func (t *TLB) Flush() {
-	for s := range t.tags {
-		for w := range t.tags[s] {
-			t.tags[s][w] = 0
-		}
+	for i := range t.entries {
+		t.entries[i].tag = 0
 	}
 }
 
@@ -285,10 +282,10 @@ func (t *TLB) Flush() {
 // the alias-hosting bit changes).
 func (t *TLB) Invalidate(addr uint64) {
 	base := PageBase(addr)
-	set := int((base / PageSize) % uint64(t.sets))
-	for w := 0; w < t.ways; w++ {
-		if t.tags[set][w] == base {
-			t.tags[set][w] = 0
+	ws := t.set(base)
+	for w := range ws {
+		if ws[w].tag == base {
+			ws[w].tag = 0
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +132,135 @@ func TestTLBEviction(t *testing.T) {
 	}
 	if tlb.Stats.Misses != 6 {
 		t.Errorf("expected 6 misses, got %d", tlb.Stats.Misses)
+	}
+}
+
+// nestedTLB is the reference the flat TLB must match: the earlier TLB,
+// with per-set tag, LRU and PTE slices, kept as it was.
+type nestedTLB struct {
+	sets  int
+	ways  int
+	pt    *PageTable
+	tags  [][]uint64 // page base per way; 0 = invalid (page 0 never cached)
+	lru   [][]uint64
+	ptes  [][]PTE
+	clock uint64
+	Stats TLBStats
+}
+
+func newNestedTLB(entries, ways int, pt *PageTable) *nestedTLB {
+	sets := entries / ways
+	t := &nestedTLB{sets: sets, ways: ways, pt: pt}
+	t.tags = make([][]uint64, sets)
+	t.lru = make([][]uint64, sets)
+	t.ptes = make([][]PTE, sets)
+	for i := 0; i < sets; i++ {
+		t.tags[i] = make([]uint64, ways)
+		t.lru[i] = make([]uint64, ways)
+		t.ptes[i] = make([]PTE, ways)
+	}
+	return t
+}
+
+func (t *nestedTLB) Lookup(addr uint64) (PTE, bool) {
+	base := PageBase(addr)
+	set := int((base / PageSize) % uint64(t.sets))
+	t.clock++
+	for w := 0; w < t.ways; w++ {
+		if t.tags[set][w] == base && base != 0 {
+			t.lru[set][w] = t.clock
+			t.Stats.Hits++
+			return t.ptes[set][w], true
+		}
+	}
+	t.Stats.Misses++
+	pte := t.pt.Lookup(base)
+	victim := 0
+	for w := 1; w < t.ways; w++ {
+		if t.lru[set][w] < t.lru[set][victim] {
+			victim = w
+		}
+	}
+	t.tags[set][victim] = base
+	t.ptes[set][victim] = pte
+	t.lru[set][victim] = t.clock
+	return pte, false
+}
+
+func (t *nestedTLB) Flush() {
+	for s := range t.tags {
+		for w := range t.tags[s] {
+			t.tags[s][w] = 0
+		}
+	}
+}
+
+func (t *nestedTLB) Invalidate(addr uint64) {
+	base := PageBase(addr)
+	set := int((base / PageSize) % uint64(t.sets))
+	for w := 0; w < t.ways; w++ {
+		if t.tags[set][w] == base {
+			t.tags[set][w] = 0
+		}
+	}
+}
+
+// TestTLBMatchesNestedReference drives the flat TLB and the nested
+// reference, over one page table, with the same seeded stream of Lookup,
+// Flush and Invalidate calls and alias-hosting changes, and requires every
+// (PTE, hit) and the statistics to agree after every call, over the
+// default 16-set geometry, a 4-set one and a single set. Page 0 is in
+// the stream: it never hits, yet its fills take a way and stamp its LRU.
+func TestTLBMatchesNestedReference(t *testing.T) {
+	for _, g := range []struct{ entries, ways int }{{64, 4}, {16, 4}, {4, 4}} {
+		t.Run(fmt.Sprintf("%dx%d", g.entries/g.ways, g.ways), func(t *testing.T) {
+			pt := NewPageTable()
+			tlb := NewTLB(g.entries, g.ways, pt)
+			ref := newNestedTLB(g.entries, g.ways, pt)
+			rng := rand.New(rand.NewSource(int64(g.entries)))
+			pages := uint64(2*g.entries + 3) // more pages than entries: every set evicts
+			var page0, stale int
+			for i := 0; i < 50000; i++ {
+				addr := uint64(rng.Int63n(int64(pages * PageSize)))
+				if rng.Intn(2) == 0 {
+					addr += HeapBase
+				}
+				if addr < PageSize {
+					page0++
+				}
+				switch op := rng.Intn(100); {
+				case op < 85:
+					pte, hit := tlb.Lookup(addr)
+					rpte, rhit := ref.Lookup(addr)
+					if pte != rpte || hit != rhit {
+						t.Fatalf("op %d: Lookup(%#x) = %+v %v, reference %+v %v", i, addr, pte, hit, rpte, rhit)
+					}
+					if hit && pte.AliasHosting != pt.AliasHosting(addr) {
+						stale++
+					}
+				case op < 92:
+					// Change the page's alias-hosting bit, invalidating
+					// its entry only some of the time so stale hits occur.
+					pt.SetAliasHosting(addr, rng.Intn(2) == 0)
+					if rng.Intn(2) == 0 {
+						tlb.Invalidate(addr)
+						ref.Invalidate(addr)
+					}
+				case op < 99:
+					tlb.Invalidate(addr)
+					ref.Invalidate(addr)
+				default:
+					tlb.Flush()
+					ref.Flush()
+				}
+				if tlb.Stats != ref.Stats {
+					t.Fatalf("op %d: stats %+v, reference %+v", i, tlb.Stats, ref.Stats)
+				}
+			}
+			if s := ref.Stats; s.Hits == 0 || s.Misses == 0 || page0 == 0 || stale == 0 {
+				t.Fatalf("the stream left a path unexercised: %+v, %d page-0 calls, %d stale hits", s, page0, stale)
+			}
+		})
 	}
 }
 

@@ -13,15 +13,22 @@ package pipeline
 // which is bounded by ROB occupancy times worst-case memory latency.
 const bwWindow = 1 << 16
 
+// bwPage is the number of counters in one page of a bandwidth window.
+// Pages are allocated on their first write, so a window costs nothing
+// until the model reserves from it, and a pool a program never uses (the
+// SIMD pool, the FP pool of an integer program) costs nothing at all.
+const bwPage = 1 << 14
+
 // bandwidth models a per-cycle issue/commit/FU bandwidth limit using a
 // sliding window of per-cycle counters. Counters are a single byte each:
 // the schedule loop reserves from several bandwidth instances per μop, so
 // the combined window footprint must stay cache-resident (widths are
-// pipeline widths and FU pool sizes, single digits in practice).
+// pipeline widths and FU pool sizes, single digits in practice). The
+// window is bwWindow/bwPage pages; an absent page reads 0.
 type bandwidth struct {
-	width  uint8
-	base   uint64 // first cycle represented by counts[0]
-	counts [bwWindow]uint8
+	width uint8
+	base  uint64 // first cycle represented by physical index 0
+	pages [bwWindow / bwPage]*[bwPage]uint8
 }
 
 // reserve finds the first cycle at or after want with spare bandwidth,
@@ -30,43 +37,74 @@ func (b *bandwidth) reserve(want uint64) uint64 {
 	if want < b.base {
 		want = b.base
 	}
-	// Slide the window forward if want runs past it.
-	if want >= b.base+bwWindow {
-		shift := want - b.base - bwWindow/2
-		b.slide(shift)
-	}
 	for {
-		idx := (want - b.base) % bwWindow
+		// Slide the window forward if want runs past it.
 		if want >= b.base+bwWindow {
-			b.slide(want - b.base - bwWindow/2)
-			idx = (want - b.base) % bwWindow
+			return b.slideReserve(want)
 		}
-		if b.counts[idx] < b.width {
-			b.counts[idx]++
+		idx := (want - b.base) % bwWindow
+		p := b.pages[idx/bwPage]
+		if p == nil {
+			return b.firstWrite(idx, want)
+		}
+		if c := &p[idx%bwPage]; *c < b.width {
+			*c++
 			return want
 		}
 		want++
 	}
 }
 
+// slideReserve slides the window so that want falls inside it, then
+// reserves from there. It and firstWrite are the only calls reserve's
+// loop makes, and both end the loop, so the loop keeps want and the base
+// in registers instead of saving them around a call on every cycle.
+func (b *bandwidth) slideReserve(want uint64) uint64 {
+	b.slide(want - b.base - bwWindow/2)
+	return b.reserve(want)
+}
+
+// firstWrite allocates the page holding index idx and consumes the slot
+// there for cycle want. An absent page reads 0 and every width is at
+// least 1, so that slot is free.
+func (b *bandwidth) firstWrite(idx, want uint64) uint64 {
+	p := new([bwPage]uint8)
+	p[idx%bwPage] = 1
+	b.pages[idx/bwPage] = p
+	return want
+}
+
 // slide advances the window base by shift cycles, discarding old counters.
 // The discarded index range [base%W, (base+shift)%W) is cleared as one or
-// two contiguous spans so the runtime can use vectorized memclr.
+// two contiguous spans.
 func (b *bandwidth) slide(shift uint64) {
+	start := b.base % bwWindow
+	b.base += shift
 	if shift >= bwWindow {
-		clear(b.counts[:])
-		b.base += shift
+		b.clearSpan(0, bwWindow)
 		return
 	}
-	start := b.base % bwWindow
 	end := start + shift
 	if end <= bwWindow {
-		clear(b.counts[start:end])
+		b.clearSpan(start, end)
 	} else {
-		clear(b.counts[start:])
-		clear(b.counts[:end-bwWindow])
+		b.clearSpan(start, bwWindow)
+		b.clearSpan(0, end-bwWindow)
 	}
-	b.base += shift
+}
+
+// clearSpan zeroes the counters at physical indexes [lo, hi), one
+// contiguous span per page so the runtime can use vectorized memclr;
+// pages that do not exist are skipped.
+func (b *bandwidth) clearSpan(lo, hi uint64) {
+	for lo < hi {
+		n := lo / bwPage
+		end := min(hi, (n+1)*bwPage)
+		if p := b.pages[n]; p != nil {
+			clear(p[lo%bwPage : end-n*bwPage])
+		}
+		lo = end
+	}
 }
 
 // occupancyRing models an in-order-allocated, capacity-limited structure

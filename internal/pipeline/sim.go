@@ -205,9 +205,8 @@ type coreCtx struct {
 	walkBuf []uint64 // scratch for AliasTable.WalkInto touch lists
 	recsRun uint64
 
-	// The nine per-cycle bandwidth windows are values, so a core is one
-	// allocation instead of ten. They hold no pointers and come last, so
-	// the collector's scan of a core ends before them.
+	// The nine per-cycle bandwidth windows are values; each allocates its
+	// counter pages on first use (resources.go).
 	issueBW  bandwidth
 	commitBW bandwidth
 	fuBW     [isa.NumFUClasses]bandwidth
