@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,6 +34,7 @@ func main() {
 
 	bySuite := map[string][]*security.Outcome{}
 	order := []string{}
+	var outs []*security.Outcome
 	for _, e := range security.All() {
 		if *suite != "" && !strings.EqualFold(e.Suite, *suite) {
 			continue
@@ -44,30 +44,16 @@ func main() {
 		}
 		out := security.Run(e, v)
 		bySuite[e.Suite] = append(bySuite[e.Suite], out)
+		outs = append(outs, out)
 		if *verbose {
 			fmt.Println(out)
 		}
 	}
 
 	if *jsonPath != "" {
-		type row struct {
-			Suite, Name, Expect, Got string
-			Correct                  bool
-		}
-		var rows []row
-		for _, outs := range bySuite {
-			for _, o := range outs {
-				got := "none"
-				if o.Violation != nil {
-					got = o.Violation.Kind.String()
-				}
-				rows = append(rows, row{o.Exploit.Suite, o.Exploit.Name,
-					o.Exploit.Expect.String(), got, o.Correct()})
-			}
-		}
-		data, err := json.MarshalIndent(rows, "", "  ")
+		data, err := security.JSON(outs)
 		if err == nil {
-			err = os.WriteFile(*jsonPath, append(data, '\n'), 0o644)
+			err = os.WriteFile(*jsonPath, data, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "chexsec:", err)
@@ -82,13 +68,11 @@ func main() {
 		fmt.Printf("  %-16s %3d/%3d as expected", s, sum.Correct, sum.Total)
 		if len(sum.ByClass) > 0 {
 			fmt.Print("  [")
-			first := true
-			for k, n := range sum.ByClass {
-				if !first {
+			for i, k := range sum.Classes() {
+				if i > 0 {
 					fmt.Print(", ")
 				}
-				fmt.Printf("%s: %d", k, n)
-				first = false
+				fmt.Printf("%s: %d", k, sum.ByClass[k])
 			}
 			fmt.Print("]")
 		}

@@ -57,8 +57,8 @@ const (
 	MinLineSize = 8
 
 	// chunkLines is the size of one chunk of line storage (256 KB). Sets
-	// take their ways from the current chunk at their first fill; a cache
-	// smaller than a chunk gets one chunk of its own size.
+	// carve their blocks from the current chunk as they fill; a cache
+	// smaller than a chunk gets chunks of its own size.
 	chunkLines = 16384
 )
 
@@ -69,13 +69,15 @@ type LineCache struct {
 	LineSize uint64
 	Latency  uint64 // hit latency in cycles
 
-	// sets[s] holds set s's ways, nil until the set's first fill, so a
-	// run that touches few of a large cache's sets allocates lines for
-	// those alone.
+	// sets[s] holds the ways set s has filled, in fill order, and its
+	// capacity is the block of storage the set owns: nil until the set's
+	// first fill, then 1, 2, 4, ... lines up to ways. A run allocates
+	// lines for the ways it fills, not for every way of every set it
+	// touches.
 	sets  [][]line
 	ways  int
-	chunk int    // lines per storage chunk, a multiple of ways
-	free  []line // unassigned rest of the current storage chunk
+	chunk int    // lines per storage chunk, at least ways
+	free  []line // uncarved rest of the current storage chunk
 	clock uint64
 	hitPF bool // last Access hit a prefetched line
 	Stats Stats
@@ -101,7 +103,7 @@ func NewLineCache(name string, sizeBytes, ways int, lineSize, latency uint64) *L
 	sets := nlines / ways
 	c := &LineCache{Name: name, LineSize: lineSize, Latency: latency, ways: ways}
 	c.sets = make([][]line, sets)
-	c.chunk = min(sets, max(1, chunkLines/ways)) * ways
+	c.chunk = min(nlines, max(ways, chunkLines))
 	c.lineShift, c.setMask = -1, -1
 	if lineSize&(lineSize-1) == 0 {
 		c.lineShift = bits.TrailingZeros64(lineSize)
@@ -125,14 +127,23 @@ func (c *LineCache) index(addr uint64) (set int, tag uint64) {
 	return int(lineAddr % uint64(len(c.sets))), lineAddr
 }
 
-// alloc hands set its ways from the current storage chunk, starting a new
-// chunk when that one is used up.
-func (c *LineCache) alloc(set int) []line {
-	if len(c.free) == 0 {
-		c.free = make([]line, c.chunk)
+// grow gives set one more way and returns its ways. A set whose block is
+// full moves to a block twice the size (at most ways), carved from the
+// current storage chunk; a new chunk starts when the current one cannot
+// hold the block. The new way is the last and is zero.
+func (c *LineCache) grow(set int) []line {
+	ws := c.sets[set]
+	if len(ws) == cap(ws) {
+		n := min(max(1, 2*cap(ws)), c.ways)
+		if len(c.free) < n {
+			c.free = make([]line, c.chunk)
+		}
+		blk := c.free[:len(ws):n]
+		c.free = c.free[n:]
+		copy(blk, ws)
+		ws = blk
 	}
-	ws := c.free[:c.ways:c.ways]
-	c.free = c.free[c.ways:]
+	ws = ws[:len(ws)+1]
 	c.sets[set] = ws
 	return ws
 }
@@ -171,16 +182,20 @@ func (c *LineCache) Access(addr uint64, write bool) (hit bool, wbAddr uint64, wb
 	}
 	c.hitPF = false
 	c.Stats.Misses++
-	if ws == nil {
-		ws = c.alloc(set)
-	}
-	// Fill: choose invalid way or LRU victim.
+	// Fill: the first invalid way, else a new way while the set has
+	// fewer than ways, else the LRU victim. Ways fill in order and only
+	// Invalidate leaves a hole, so this is the way a cache holding every
+	// way from the start would choose.
 	victim := -1
 	for w := range ws {
 		if ws[w].tag&lineValid == 0 {
 			victim = w
 			break
 		}
+	}
+	if victim < 0 && len(ws) < c.ways {
+		ws = c.grow(set)
+		victim = len(ws) - 1
 	}
 	if victim < 0 {
 		victim = 0

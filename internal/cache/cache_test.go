@@ -211,7 +211,7 @@ func TestKeyCacheFlushKeepsStats(t *testing.T) {
 	}
 }
 
-// refLineCache is the flat reference LineCache the chunked one must match:
+// refLineCache is the flat reference LineCache the growing one must match:
 // 24-byte lines, every set's ways allocated up front in one set-major
 // array (set s occupies lines[s*ways : (s+1)*ways]).
 type refLine struct {
@@ -314,25 +314,53 @@ func (c *refLineCache) Invalidate(addr uint64) {
 	}
 }
 
-// TestLineCacheMatchesFlatReference drives the chunked LineCache and the
+// sameSet requires set's ways to sit where the flat reference holds them:
+// each filled way matches the reference way of the same index, and every
+// reference way past the filled ones has never been filled.
+func sameSet(t *testing.T, op int, c *LineCache, ref *refLineCache, addr uint64) {
+	t.Helper()
+	set, _ := c.index(addr)
+	ws := c.sets[set]
+	rws, _ := ref.set(addr)
+	for w, r := range rws {
+		if w >= len(ws) {
+			if r != (refLine{}) {
+				t.Fatalf("op %d: set %d holds %d ways, reference way %d is %+v", op, set, len(ws), w, r)
+			}
+			continue
+		}
+		l := ws[w]
+		got := refLine{tag: l.tag & lineAddrMask, valid: l.tag&lineValid != 0,
+			dirty: l.tag&lineDirty != 0, pf: l.tag&linePF != 0, lru: l.lru}
+		if got != r {
+			t.Fatalf("op %d: set %d way %d is %+v, reference %+v", op, set, w, got, r)
+		}
+	}
+}
+
+// TestLineCacheMatchesFlatReference drives the growing LineCache and the
 // flat reference with the same seeded stream of Access, Contains,
 // MarkPrefetched and Invalidate calls and requires every return value,
-// the statistics and HitPrefetched to agree after every call. Addresses
-// come from a few hot user regions and from the shadow capability and
-// alias arenas, whose line addresses reach up to bit 60 at the smallest
-// line size, next to the flag bits.
+// the statistics, HitPrefetched and the touched set's ways to agree
+// after every call. Addresses come from a few hot user regions and from
+// the shadow capability and alias arenas, whose line addresses reach up
+// to bit 60 at the smallest line size, next to the flag bits. The sparse
+// stream puts one to three lines in each of 1,024 LLC sets, so sets grow
+// a way at a time and refill Invalidate holes without ever filling up.
 func TestLineCacheMatchesFlatReference(t *testing.T) {
 	geoms := []struct {
 		name      string
 		sizeBytes int
 		ways      int
 		lineSize  uint64
+		sparse    bool
 	}{
-		{"l1", 32 * 1024, 8, 64},
-		{"l2", 256 * 1024, 8, 64},
-		{"llc", 8 * 1024 * 1024, 16, 64},
-		{"48-sets", 24 * 1024, 8, 64},
-		{"8-byte-lines", 32 * 1024, 8, 8},
+		{"l1", 32 * 1024, 8, 64, false},
+		{"l2", 256 * 1024, 8, 64, false},
+		{"llc", 8 * 1024 * 1024, 16, 64, false},
+		{"llc-sparse", 8 * 1024 * 1024, 16, 64, true},
+		{"48-sets", 24 * 1024, 8, 64, false},
+		{"8-byte-lines", 32 * 1024, 8, 8, false},
 	}
 	regions := []struct{ base, size uint64 }{
 		{0x400000, 64 * 1024},                 // code and globals
@@ -351,7 +379,9 @@ func TestLineCacheMatchesFlatReference(t *testing.T) {
 			pfHits := 0
 			for i := 0; i < 100000; i++ {
 				var addr uint64
-				if k := rng.Intn(len(regions) + 1); k < len(regions) {
+				if g.sparse {
+					addr = 0x4000_0000 + uint64(rng.Intn(3))*stride + uint64(rng.Intn(1024))*g.lineSize
+				} else if k := rng.Intn(len(regions) + 1); k < len(regions) {
 					off := rng.Uint64() % regions[k].size
 					if rng.Intn(2) == 0 {
 						off %= 16 * 1024 // each region's hot head
@@ -386,21 +416,25 @@ func TestLineCacheMatchesFlatReference(t *testing.T) {
 					t.Fatalf("op %d: stats %+v hitPF %v, reference %+v %v",
 						i, c.Stats, c.HitPrefetched(), ref.Stats, ref.hitPF)
 				}
+				sameSet(t, i, c, ref, addr)
 				if ref.hitPF {
 					pfHits++
 				}
 			}
-			if s := ref.Stats; s.Hits == 0 || s.Writebacks == 0 || s.Invals == 0 || pfHits == 0 {
+			s := ref.Stats
+			if s.Hits == 0 || s.Invals == 0 || pfHits == 0 || (s.Writebacks == 0) != g.sparse {
 				t.Fatalf("the stream left a path unexercised: %+v, %d prefetched hits", s, pfHits)
 			}
 		})
 	}
 }
 
-// TestLineCacheStorageGrowsByChunk: an untouched cache holds no line
-// storage, lookups do not create any, and filled sets take their ways
-// from one chunk until it runs out.
-func TestLineCacheStorageGrowsByChunk(t *testing.T) {
+// TestLineCacheStorageFollowsFills: an untouched cache holds no line
+// storage and lookups create none; a set holds a block of at most twice
+// the ways it has filled and never more than ways; an Invalidate hole is
+// refilled before the set grows; and a chunk is allocated only when the
+// current one cannot hold the block a set moves to.
+func TestLineCacheStorageFollowsFills(t *testing.T) {
 	c := NewLineCache("llc", 8*1024*1024, 16, 64, 40)
 	c.Contains(0)
 	c.MarkPrefetched(0)
@@ -413,35 +447,66 @@ func TestLineCacheStorageGrowsByChunk(t *testing.T) {
 			t.Fatalf("untouched set %d holds ways", s)
 		}
 	}
-	const setsPerChunk = chunkLines / 16
-	chunks := 0
-	for s := 0; s < 2*setsPerChunk+1; s++ {
-		before := cap(c.free)
-		c.Access(uint64(s)*64, false) // line s maps to set s
-		if cap(c.free) > before {
-			chunks++
-		}
-		if want := s/setsPerChunk + 1; chunks != want {
-			t.Fatalf("after filling %d sets: %d chunks, want %d", s+1, chunks, want)
-		}
-		if want := (chunks*setsPerChunk - (s + 1)) * 16; len(c.free) != want {
-			t.Fatalf("after filling %d sets: %d free lines, want %d", s+1, len(c.free), want)
-		}
-		if len(c.sets[s]) != 16 {
-			t.Fatalf("set %d holds %d ways, want 16", s, len(c.sets[s]))
+
+	// Fill set 0 way by way, then evict: the block doubles up to 16.
+	const stride = 8 * 1024 * 1024 / 16 // one way's span: same set
+	for k := 1; k <= 20; k++ {
+		c.Access(uint64(k)*stride, false)
+		ws := c.sets[0]
+		if filled := min(k, 16); len(ws) != filled || cap(ws) > min(2*filled, 16) {
+			t.Fatalf("after %d fills set 0 holds %d ways in a block of %d, want %d in at most %d",
+				k, len(ws), cap(ws), filled, min(2*filled, 16))
 		}
 	}
-	// A second access to a filled set takes no new storage.
-	free := len(c.free)
-	c.Access(64, true)
-	if len(c.free) != free {
-		t.Fatal("a filled set took more storage")
+
+	// An Invalidate hole is refilled before the set grows.
+	const set = 1
+	for k := 0; k < 3; k++ {
+		c.Access(set*64+uint64(k)*stride, false)
+	}
+	c.Invalidate(set*64 + stride)
+	c.Access(set*64+3*stride, false)
+	if ws := c.sets[set]; len(ws) != 3 || ws[1].tag&lineAddrMask != (set*64+3*stride)/64 {
+		t.Fatalf("the refill took way %d of %d, want the hole at way 1", len(ws)-1, len(ws))
+	}
+	c.Access(set*64+4*stride, false)
+	if len(c.sets[set]) != 4 {
+		t.Fatalf("with no hole the set must grow: %d ways", len(c.sets[set]))
+	}
+
+	// Two lines in every set move each set from a 1-line to a 2-line
+	// block; the chunk is replaced only when it cannot hold the block.
+	chunks := 0
+	for i := uint64(0); i < 2*8192; i++ {
+		addr := (i%8192)*64 + (i/8192+8)*stride
+		s, _ := c.index(addr)
+		before, oldCap := len(c.free), cap(c.sets[s])
+		c.Access(addr, false)
+		n := cap(c.sets[s])
+		switch {
+		case n == oldCap:
+			if len(c.free) != before {
+				t.Fatalf("access %d: set %d took storage without moving", i, s)
+			}
+		case before >= n:
+			if len(c.free) != before-n {
+				t.Fatalf("access %d: a %d-line block took %d lines", i, n, before-len(c.free))
+			}
+		default:
+			chunks++
+			if len(c.free) != c.chunk-n {
+				t.Fatalf("access %d: a new chunk for a %d-line block left %d free", i, n, len(c.free))
+			}
+		}
+	}
+	if chunks == 0 {
+		t.Fatal("the fills never ran a chunk out")
 	}
 
 	small := NewLineCache("l1", 32*1024, 8, 64, 4)
 	small.Access(0, false)
-	if cap(small.free) != 512-8 {
-		t.Fatalf("a cache below one chunk must take one chunk of its own size; %d lines left", cap(small.free))
+	if cap(small.free) != 512-1 {
+		t.Fatalf("a cache below one chunk must take chunks of its own size; %d lines left", cap(small.free))
 	}
 }
 

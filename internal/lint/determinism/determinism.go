@@ -37,16 +37,20 @@
 // (or the line above) — the waiver is for call sites that are provably
 // order-insensitive or deliberately wall-clock-bound.
 //
-// The linter is purely stdlib (go/ast + go/types with a stub importer),
-// so it runs in hermetic build environments with no module cache. Types
-// are resolved best-effort: identifiers whose types come from other
-// packages degrade to "unknown" and are skipped, which keeps the checks
-// conservative (no false positives from partial information).
+// The linter is purely stdlib (go/ast + go/types with the stdlib source
+// importer), so it needs no module cache or export data: imported
+// packages are type-checked from source, which resolves a map type
+// declared in another package (a field of an imported struct, a named
+// map) as well as a local one. Types are still resolved best-effort: an
+// import that fails to type-check degrades its identifiers to "unknown",
+// and those are skipped, which keeps the checks conservative (no false
+// positives from partial information).
 package determinism
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -102,9 +106,27 @@ var formatArgIdx = map[string]int{
 	"Fprintf": 1, "Appendf": 1,
 }
 
-// LintDir lints the non-test Go files of one package directory.
-func LintDir(dir string) ([]Finding, error) {
+// Linter lints package directories with one FileSet and one source
+// importer, so a package imported by many linted directories is
+// type-checked once per run rather than once per directory.
+type Linter struct {
+	fset *token.FileSet
+	imp  types.Importer
+}
+
+// NewLinter returns a Linter with an empty import cache.
+func NewLinter() *Linter {
 	fset := token.NewFileSet()
+	return &Linter{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+}
+
+// LintDir lints the non-test Go files of one package directory with a
+// Linter of its own.
+func LintDir(dir string) ([]Finding, error) { return NewLinter().LintDir(dir) }
+
+// LintDir lints the non-test Go files of one package directory.
+func (l *Linter) LintDir(dir string) ([]Finding, error) {
+	fset := l.fset
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -125,12 +147,12 @@ func LintDir(dir string) ([]Finding, error) {
 		return nil, nil
 	}
 
-	// Best-effort typecheck with stub imports: local types resolve fully,
-	// cross-package types degrade to invalid (and are skipped).
+	// Best-effort typecheck: imports resolve from source, and a package
+	// that fails to type-check leaves its types invalid (and skipped).
 	info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
 	conf := types.Config{
 		Error:            func(error) {}, // partial information is fine
-		Importer:         stubImporter{},
+		Importer:         l.imp,
 		FakeImportC:      true,
 		IgnoreFuncBodies: false,
 	}
@@ -151,20 +173,6 @@ func LintDir(dir string) ([]Finding, error) {
 		return a.Column < b.Column
 	})
 	return out, nil
-}
-
-// stubImporter satisfies imports with empty packages so typechecking can
-// proceed without a module cache.
-type stubImporter struct{}
-
-func (stubImporter) Import(path string) (*types.Package, error) {
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	pkg := types.NewPackage(path, name)
-	pkg.MarkComplete()
-	return pkg, nil
 }
 
 func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []Finding {
@@ -334,7 +342,7 @@ func verbSpecs(format string) []string {
 }
 
 // isMapType reports whether expr's resolved type is a map. Unresolved
-// (cross-package) types return false — conservative, no false positives.
+// types return false — conservative, no false positives.
 func isMapType(info *types.Info, expr ast.Expr) bool {
 	tv, ok := info.Types[expr]
 	if !ok || tv.Type == nil {

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// testLinter is shared by every case, as chexvet shares one across a
+// run, so each imported package is type-checked from source once.
+var testLinter = NewLinter()
+
 // lintSource writes src as a single-file package in a temp dir and lints it.
 func lintSource(t *testing.T, src string) []Finding {
 	t.Helper()
@@ -13,7 +17,7 @@ func lintSource(t *testing.T, src string) []Finding {
 	if err := os.WriteFile(filepath.Join(dir, "x.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := LintDir(dir)
+	fs, err := testLinter.LintDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +116,30 @@ func f(t *tally) {
 `)
 	if len(fs) != 1 || fs[0].Check != CheckMapRangeOutput {
 		t.Fatalf("want one %s finding, got %v", CheckMapRangeOutput, fs)
+	}
+}
+
+func TestMapRangeImportedType(t *testing.T) {
+	// url.Values is a map declared in another package, ranged over as a
+	// parameter and as an imported method's result.
+	fs := lintSource(t, `package p
+import (
+	"fmt"
+	"net/url"
+)
+func f(v url.Values) {
+	for k := range v {
+		fmt.Println(k)
+	}
+}
+func g(u *url.URL) {
+	for k := range u.Query() {
+		fmt.Println(k)
+	}
+}
+`)
+	if len(fs) != 2 || fs[0].Check != CheckMapRangeOutput || fs[1].Check != CheckMapRangeOutput {
+		t.Fatalf("want two %s findings, got %v", CheckMapRangeOutput, fs)
 	}
 }
 

@@ -70,7 +70,10 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 	var native []isa.Uop
 	cached := false
 	if !cfg.NoUopCache {
-		if e := c.uc.lookup(in.Addr, gen); e != nil {
+		if s.uc == nil {
+			s.uc = newUopCache(len(s.M.Prog.Insts))
+		}
+		if e := s.uc.lookup(in.Addr, gen); e != nil {
 			c.dec.Stats.MacroOps++
 			c.dec.Stats.NativeUops += e.nativeUops
 			if e.rerouted {
@@ -94,7 +97,7 @@ func (s *Sim) processRec(c *coreCtx, rec *emu.Rec) *core.Violation {
 			c.microRerouted = true
 		}
 		if !cfg.NoUopCache {
-			c.uc.insert(in.Addr, gen, native, nativeUops, c.microRerouted)
+			s.uc.insert(in.Addr, gen, native, nativeUops, c.microRerouted)
 		}
 	}
 

@@ -195,9 +195,6 @@ type coreCtx struct {
 	// at the top of processRec.
 	firstViolation *core.Violation
 
-	// uc is the decoded-μop translation cache (uopcache.go).
-	uc uopCache
-
 	done    bool
 	uopBuf  []isa.Uop
 	asanBuf []isa.Uop // scratch for ASanInstrument's expansion
@@ -254,8 +251,11 @@ type Sim struct {
 	// consulted only when Cfg.ElideChecks is set (see elide.go).
 	elision ElisionMap
 
-	llc  *cache.LineCache
 	dram *mem.DRAM
+
+	// uc is the decoded-μop translation cache every core shares
+	// (uopcache.go), nil until the first lookup.
+	uc *uopCache
 
 	cores []*coreCtx
 	recQ  []recRing
@@ -307,7 +307,6 @@ func NewSim(prog *asm.Program, cfg Config, harts int) (*Sim, error) {
 	s.Table = core.NewTable(m.Mem)
 	s.Table.MaxAllocSize = cfg.MaxAllocSize
 	s.Ali = tracker.NewAliasTable(m.Mem, s.PT)
-	s.llc = cache.NewLineCache("LLC", cfg.LLCSizeKB*1024, cfg.LLCWays, cfg.LineSize, cfg.LLCLatency)
 
 	// OS kernel configuration: register the heap-management routines'
 	// entry/exit points and signatures in the MSRs (Section IV-C).
@@ -342,13 +341,16 @@ func NewSim(prog *asm.Program, cfg Config, harts int) (*Sim, error) {
 	}
 
 	s.recQ = make([]recRing, harts)
+	llc := cache.NewLineCache("LLC", cfg.LLCSizeKB*1024, cfg.LLCWays, cfg.LineSize, cfg.LLCLatency)
 	for i := 0; i < harts; i++ {
-		s.cores = append(s.cores, s.newCore(i))
+		s.cores = append(s.cores, s.newCore(i, llc))
 	}
 	return s, nil
 }
 
-func (s *Sim) newCore(id int) *coreCtx {
+// newCore builds core id, whose hierarchy ends in the LLC and DRAM that
+// every core shares.
+func (s *Sim) newCore(id int, llc *cache.LineCache) *coreCtx {
 	cfg := &s.Cfg
 	c := &coreCtx{
 		id:         id,
@@ -380,7 +382,7 @@ func (s *Sim) newCore(id int) *coreCtx {
 		L1I:  cache.NewLineCache("L1I", cfg.L1ISizeKB*1024, cfg.L1IWays, cfg.LineSize, cfg.L1Latency),
 		L1D:  cache.NewLineCache("L1D", cfg.L1DSizeKB*1024, cfg.L1DWays, cfg.LineSize, cfg.L1Latency),
 		L2:   cache.NewLineCache("L2", cfg.L2SizeKB*1024, cfg.L2Ways, cfg.LineSize, cfg.L2Latency),
-		LLC:  s.llc,
+		LLC:  llc,
 		Ram:  s.dram,
 	}
 	c.hier.NoPrefetch = cfg.NoPrefetch
@@ -622,7 +624,7 @@ func (s *Sim) result() *Result {
 	if n := uint64(len(s.cores)); n > 1 {
 		r.SquashCycles /= n
 	}
-	r.LLC = s.llc.Stats
+	r.LLC = s.cores[0].hier.LLC.Stats
 	r.DRAMBytes = s.dram.TotalBytes()
 	r.UserRSS = s.M.Mem.UserRSS()
 	r.ShadowRSS = s.M.Mem.ShadowRSS()

@@ -9,6 +9,7 @@ import (
 	"chex86/internal/decode"
 	"chex86/internal/heap"
 	"chex86/internal/isa"
+	"chex86/internal/workload"
 )
 
 // steadyLoopProgram builds a non-terminating, allocation-quiet guest: one
@@ -167,5 +168,63 @@ func TestNewSimFootprint(t *testing.T) {
 			t.Errorf("NewSim with %d harts allocates %d B in %d objects, want at most %d B in %d",
 				tc.harts, bytes, objs, tc.maxBytes, tc.maxObjs)
 		}
+	}
+}
+
+// TestSimRunFootprint pins what a finished simulation retains: the live
+// heap after a full collection with the Sim still reachable, less the
+// same reading taken before NewSim. Cache line storage grows a way at a
+// time as sets fill, and the one μop table a Sim holds is sized to its
+// program, so mcf on one hart and canneal on four at scale 0.1 retain a
+// few MB rather than the Table III LLC's 2 MB of lines plus 256 KB of μop
+// slots per core.
+func TestSimRunFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBytes uint64
+	}{
+		// Measured 3,721,072 B and 6,803,192 B; the bounds leave about
+		// 25% headroom. With a set's every way taken at its first fill
+		// and a 4,096-slot μop table per core, they read 5,202,400 B and
+		// 8,770,568 B.
+		{"mcf", 4_650_000},
+		{"canneal", 8_500_000},
+	} {
+		p := workload.ByName(tc.name)
+		prog, err := p.Build(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		harts := max(p.Threads, 1)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sim, err := NewSim(prog, DefaultConfig(), harts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		retained := after.HeapAlloc - before.HeapAlloc
+		t.Logf("%s, %d harts: %d B retained", tc.name, harts, retained)
+		if retained > tc.maxBytes {
+			t.Errorf("%s on %d harts retains %d B, want at most %d", tc.name, harts, retained, tc.maxBytes)
+		}
+
+		slots := 1
+		for slots < len(prog.Insts) {
+			slots <<= 1
+		}
+		if sim.uc == nil || len(sim.uc.slots) > slots {
+			t.Errorf("%s: want one μop table of at most %d slots for %d instructions", tc.name, slots, len(prog.Insts))
+		}
+		// Every static instruction, plus the RET at each allocator exit.
+		if st := sim.UopCacheStats(); st.Entries > len(prog.Insts)+4 {
+			t.Errorf("%s: %d μop-cache entries for %d instructions", tc.name, st.Entries, len(prog.Insts))
+		}
+		runtime.KeepAlive(sim)
 	}
 }

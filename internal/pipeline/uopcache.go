@@ -33,41 +33,51 @@ type uopEntry struct {
 	gen uint64
 }
 
-// uopCacheSlots is the per-core capacity. Static guest footprints are far
-// smaller, so in practice every static instruction gets its own slot; the
-// direct-mapped organization keeps the lookup to a shift, a mask, and two
-// compares — this sits on the per-committed-instruction critical path.
-const uopCacheSlots = 1 << 12
-
-// uopCache is the per-core decoded-μop translation cache: the simulator's
+// uopCache is the decoded-μop translation cache: the simulator's
 // analogue of a decoded-stream buffer. It memoizes Decoder.Native +
-// Microcode.Apply keyed by instruction address, direct-mapped over
-// uopCacheSlots slots. The variant is part of the key implicitly — the
-// cache lives inside one core of one Sim, whose variant is fixed — and
-// the microcode-RAM generation is checked on every lookup, so installing
-// or removing a field update invalidates exactly the translations that
-// could have consulted the old MSRAM contents.
+// Microcode.Apply keyed by instruction address, direct-mapped over a
+// power-of-two table sized to the program, so in practice every static
+// instruction gets its own slot; the lookup is a shift, a mask, and two
+// compares — this sits on the per-committed-instruction critical path.
+// The variant is part of the key implicitly — the cache lives inside
+// one Sim, whose variant is fixed — and the microcode-RAM generation is
+// checked on every lookup, so installing or removing a field update
+// invalidates exactly the translations that could have consulted the old
+// MSRAM contents.
 //
 // Caching is sound because guest programs are static (no self-modifying
 // code: the instruction at an address never changes) and both memoized
-// stages are pure functions of the instruction and the MSRAM contents.
-// The cache must not change a single result byte; decode-path statistics
-// the memoized stages would have bumped are replayed on each hit, and the
-// cache's own counters are reported out of band (UopCacheStats), never in
-// Result.
+// stages are pure functions of the instruction and the Sim-wide MSRAM
+// contents. So one table serves every hart of a Sim: a translation one
+// core inserted is the one any other core would derive, and the cores
+// step in lockstep on one goroutine. The cache must not change a single
+// result byte; the decode-path statistics the memoized stages would have
+// bumped are replayed into the looking-up core's decoder on each hit,
+// and the cache's own counters are reported out of band
+// (UopCacheStats), never in Result.
 type uopCache struct {
-	slots []uopEntry
+	slots []uopEntry // a power of two of them
 
 	hits          uint64
 	misses        uint64
 	invalidations uint64 // hits rejected because the MSRAM generation moved
 }
 
-func uopSlot(addr uint64) uint64 {
+// newUopCache returns an empty cache for a program of insts static
+// instructions, with the next power of two at or above insts slots.
+func newUopCache(insts int) *uopCache {
+	n := 1
+	for n < insts {
+		n <<= 1
+	}
+	return &uopCache{slots: make([]uopEntry, n)}
+}
+
+func (uc *uopCache) slot(addr uint64) *uopEntry {
 	// Instruction addresses are 4-byte aligned in this ISA; drop the
 	// always-zero low bits so consecutive instructions map to
 	// consecutive slots.
-	return (addr >> 2) & (uopCacheSlots - 1)
+	return &uc.slots[(addr>>2)&uint64(len(uc.slots)-1)]
 }
 
 // lookup returns the memoized translation for the instruction at addr
@@ -75,11 +85,7 @@ func uopSlot(addr uint64) uint64 {
 // an invalidation and reports a miss (the slot is overwritten by the
 // subsequent insert).
 func (uc *uopCache) lookup(addr, gen uint64) *uopEntry {
-	if uc.slots == nil {
-		uc.misses++
-		return nil
-	}
-	e := &uc.slots[uopSlot(addr)]
+	e := uc.slot(addr)
 	if e.valid && e.addr == addr {
 		if e.gen == gen {
 			uc.hits++
@@ -97,10 +103,7 @@ func (uc *uopCache) lookup(addr, gen uint64) *uopEntry {
 // stages mutate per dynamic instance, while the cached copy stays
 // immutable for the entry's lifetime.
 func (uc *uopCache) insert(addr, gen uint64, uops []isa.Uop, nativeUops uint64, rerouted bool) {
-	if uc.slots == nil {
-		uc.slots = make([]uopEntry, uopCacheSlots)
-	}
-	e := &uc.slots[uopSlot(addr)]
+	e := uc.slot(addr)
 	cp := e.uops[:0] // a conflict-evicted slot's backing array is reusable
 	if cap(cp) < len(uops) {
 		cp = make([]isa.Uop, 0, len(uops))
@@ -128,17 +131,16 @@ func (s UopCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// UopCacheStats aggregates μop-cache activity across cores.
+// UopCacheStats reports the activity of the Sim's μop cache, which all
+// its cores share.
 func (s *Sim) UopCacheStats() UopCacheStats {
-	var st UopCacheStats
-	for _, c := range s.cores {
-		st.Hits += c.uc.hits
-		st.Misses += c.uc.misses
-		st.Invalidations += c.uc.invalidations
-		for i := range c.uc.slots {
-			if c.uc.slots[i].valid {
-				st.Entries++
-			}
+	if s.uc == nil {
+		return UopCacheStats{}
+	}
+	st := UopCacheStats{Hits: s.uc.hits, Misses: s.uc.misses, Invalidations: s.uc.invalidations}
+	for i := range s.uc.slots {
+		if s.uc.slots[i].valid {
+			st.Entries++
 		}
 	}
 	return st

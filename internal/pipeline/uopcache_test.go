@@ -139,7 +139,7 @@ func TestUopCacheMidStreamMicrocodeUpdate(t *testing.T) {
 // a generation change must miss and evict, and a conflict-mapped address
 // must evict the previous occupant.
 func TestUopCacheGenerationInvalidation(t *testing.T) {
-	var uc uopCache
+	uc := newUopCache(16)
 	uops := []isa.Uop{{Type: isa.UNop}}
 	uc.insert(0x400000, 1, uops, 1, false)
 	if e := uc.lookup(0x400000, 1); e == nil {
@@ -152,7 +152,7 @@ func TestUopCacheGenerationInvalidation(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 1", uc.invalidations)
 	}
 	// Same slot, different address (conflict): the tag check must reject.
-	conflict := uint64(0x400000) + uopCacheSlots*4
+	conflict := uint64(0x400000) + 16*4
 	uc.insert(conflict, 2, uops, 1, false)
 	if e := uc.lookup(0x400000, 2); e != nil {
 		t.Fatal("conflict-evicted address must miss")
@@ -165,7 +165,7 @@ func TestUopCacheGenerationInvalidation(t *testing.T) {
 // TestUopCacheInsertCopies pins the immutability contract: mutating the
 // caller's slice after insert must not alter the cached translation.
 func TestUopCacheInsertCopies(t *testing.T) {
-	var uc uopCache
+	uc := newUopCache(1)
 	scratch := []isa.Uop{{Type: isa.ULoad, EA: 1}}
 	uc.insert(0x400000, 0, scratch, 1, false)
 	scratch[0].EA = 0xDEAD

@@ -7,7 +7,9 @@
 package security
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"chex86/internal/asm"
 	"chex86/internal/core"
@@ -149,4 +151,37 @@ func Summarize(outs []*Outcome) Summary {
 		}
 	}
 	return s
+}
+
+// Classes returns the violation classes in ByClass in ViolationKind
+// order, so a histogram printed from it reads the same on every run.
+func (s Summary) Classes() []core.ViolationKind {
+	kinds := make([]core.ViolationKind, 0, len(s.ByClass))
+	for k := range s.ByClass {
+		kinds = append(kinds, k)
+	}
+	slices.Sort(kinds)
+	return kinds
+}
+
+// JSON renders outcomes, in the order given, as the indented array of
+// {Suite, Name, Expect, Got, Correct} rows that chexsec -json writes.
+func JSON(outs []*Outcome) ([]byte, error) {
+	type row struct {
+		Suite, Name, Expect, Got string
+		Correct                  bool
+	}
+	var rows []row
+	for _, o := range outs {
+		got := "none"
+		if o.Violation != nil {
+			got = o.Violation.Kind.String()
+		}
+		rows = append(rows, row{o.Exploit.Suite, o.Exploit.Name, o.Exploit.Expect.String(), got, o.Correct()})
+	}
+	data, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
