@@ -10,8 +10,6 @@
 //	chexbench -benches mcf,lbm     # restrict the benchmark set
 //	chexbench -campaign            # run the catalog through the sharded
 //	                               # campaign pool with result caching
-//	chexbench -kinst               # measure host throughput (Kinst/s and
-//	                               # allocs/instruction) per workload
 //	chexbench -fig 6 -cpuprofile cpu.pprof   # profile the host hot loop
 package main
 
@@ -29,7 +27,6 @@ import (
 	"chex86/internal/cvedata"
 	"chex86/internal/decode"
 	"chex86/internal/experiments"
-	"chex86/internal/hostperf"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
 )
@@ -66,8 +63,6 @@ func main() {
 	workers := flag.Int("workers", 0, "campaign pool shards (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	kinst := flag.Bool("kinst", false, "measure host throughput: Kinst/s and allocs/instruction per workload")
-	kinstVariants := flag.String("kinst-variants", "baseline,always-on,prediction", "comma-separated protection variants for -kinst")
 	ctxK := flag.Int("ctxk", 0, "call-string depth for -elide proofs (0 = default k=2, -1 = context-insensitive)")
 	flag.Parse()
 
@@ -79,14 +74,6 @@ func main() {
 		}
 		stopProfiles = stop
 		defer stopProfiles()
-	}
-
-	if *kinst {
-		if err := runKinst(*benches, *kinstVariants, *scale, *insts); err != nil {
-			fmt.Fprintln(os.Stderr, "chexbench:", err)
-			exit(1)
-		}
-		return
 	}
 
 	// The wall-clock read lives here, in the CLI, not in
@@ -485,41 +472,4 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 			fmt.Fprintln(os.Stderr, "alloc profile written to", memPath)
 		}
 	}, nil
-}
-
-// runKinst measures host-side throughput — Kinst/s and allocs per
-// simulated instruction — for each (workload, variant) pair, normalized
-// by a host-speed calibration score so numbers are comparable across
-// machines. This is the interactive face of the CI benchmark gate
-// (cmd/chexperf); both share internal/hostperf.
-func runKinst(benches, variants string, scale float64, insts uint64) error {
-	clock := func() int64 { return time.Now().UnixNano() } //determinism:ok — CLI wall-time probe
-	names := workload.Names()
-	if benches != "" {
-		names = strings.Split(benches, ",")
-	}
-	var vs []decode.Variant
-	for _, vname := range strings.Split(variants, ",") {
-		v, ok := decode.ParseVariant(strings.TrimSpace(vname))
-		if !ok {
-			return fmt.Errorf("unknown variant %q", vname)
-		}
-		vs = append(vs, v)
-	}
-	rep := &hostperf.Report{HostScore: hostperf.Calibrate(clock)}
-	for _, name := range names {
-		p := workload.ByName(strings.TrimSpace(name))
-		if p == nil {
-			return fmt.Errorf("unknown workload %q", name)
-		}
-		for _, v := range vs {
-			s, err := hostperf.Measure(clock, p, v, hostperf.MeasureOpts{Scale: scale, MaxInsts: insts})
-			if err != nil {
-				return err
-			}
-			rep.Samples = append(rep.Samples, s)
-		}
-	}
-	fmt.Print(hostperf.Format(rep))
-	return nil
 }
