@@ -6,16 +6,20 @@
 #
 # Run from anywhere inside the repository; it needs taskset. The base
 # revision is checked out in a git worktree under the ignored .bench_build/
-# and removed on exit. Both checkouts build their chexmark first. Then, ten
-# times over, the base's and the head's chexmark run the spec-ptr workload
-# traced for 20 s at the same time, both pinned to one CPU (the last of the
-# script's own affinity list), so whatever else slows the host in that
-# window slows both sides of the pair alike. Odd pairs launch the base
-# first, even pairs the head. Every run uses seed 0, the committed
-# profiles, so both sides simulate the same input. Both sides write
-# run-01.json ... run-10.json, which -compare pairs in order. Run records
-# and both -compare tables are left in .bench_build/perfgate/. When either
-# run of a pair fails, the gate stops its partner and fails.
+# and removed on exit. Both checkouts build their chexmark first: the head,
+# then the base with the head's Go build cache linked in, so the base does
+# not compile the standard library again. The cache is keyed by content, so
+# the base's binary is the one a cold cache would build, and removing the
+# worktree removes only the link. Then, ten times over, the base's and the
+# head's chexmark run the spec-ptr workload traced for 20 s at the same
+# time, both pinned to one CPU (the last of the script's own affinity
+# list), so whatever else slows the host in that window slows both sides
+# of the pair alike. Odd pairs launch the base first, even pairs the head.
+# Every run uses seed 0, the committed profiles, so both sides simulate the
+# same input. Both sides write run-01.json ... run-10.json, which -compare
+# pairs in order. Run records and both -compare tables are left in
+# .bench_build/perfgate/. When either run of a pair fails, the gate stops
+# its partner and fails.
 #
 # Both comparisons use the base's chexmark binary, so the tables are
 # always the ones already merged, never ones the head edits. The gate
@@ -82,8 +86,10 @@ launch() { # launch <checkout> <side> <run name>, in the background
 		>"$out/$2/$3.txt" 2>&1 &
 }
 
-build "$wt" base
 build "$root" head
+mkdir -p "$wt/.bench_build"
+ln -s "$root/.bench_build/go-cache" "$wt/.bench_build/go-cache"
+build "$wt" base
 for i in $(seq 1 10); do
 	name=$(printf 'run-%02d' "$i")
 	if [ $((i % 2)) -eq 1 ]; then

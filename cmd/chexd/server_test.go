@@ -294,7 +294,7 @@ func TestFabricCampaignLocalFallback(t *testing.T) {
 	ts, _ := newFabricTestServer(t, 0)
 
 	body := `{"fault":{"seed":5,"workloads":["mcf"],"variants":["prediction"],` +
-		`"faultsPerRun":5,"maxInsts":4000,"sites":["cap-table","dift-tag"]}}`
+		`"faultsPerRun":5,"maxInsts":4000,"sites":["cap-table","cap-cache"]}}`
 	resp := postJSON(t, ts.URL+"/api/v1/fabric/campaign", body)
 	var fr fabricCampaignResponse
 	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {

@@ -3,16 +3,16 @@
 //
 // A campaign simulates every workload × variant combination once per
 // injection site, corrupting capability metadata, dropping metadata cache
-// lines, poisoning the pointer-reload predictor, flipping DIFT taint tags,
-// and forcing context-switch state loss — then classifies each run against
-// the fail-closed contract (detected / degraded / perf-only; silent
-// outcomes and panics fail the campaign and the exit status).
+// lines, poisoning the pointer-reload predictor and forcing context-switch
+// state loss — then classifies each run against the fail-closed contract
+// (detected / degraded / perf-only; silent outcomes and panics fail the
+// campaign and the exit status).
 //
 // Usage:
 //
 //	chexfault -seed 42
 //	chexfault -workloads mcf,xalancbmk -variants always-on,prediction -faults 15
-//	chexfault -sites cap-table,dift-tag -o report.json
+//	chexfault -sites cap-table,ctx-switch -o report.json
 //	chexfault -pool -cache-dir .chexcampaign   # sharded + memoized cells
 //
 // With -pool, the campaign's workload × variant × site cells run

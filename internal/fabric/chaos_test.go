@@ -22,7 +22,7 @@ func diffConfig() faultinject.Config {
 		MaxInsts:     4000,
 		Sites: []faultinject.Site{
 			faultinject.SiteCapTable,
-			faultinject.SiteDIFT,
+			faultinject.SiteCapCache,
 			faultinject.SiteCtxSwitch,
 		},
 	}

@@ -6,8 +6,7 @@
 //   - shadow capability table entries (base/bounds/permission bit flips and
 //     forced evictions),
 //   - capability-cache and alias-cache line drops,
-//   - pointer-reload-predictor entry corruption,
-//   - DIFT taint-tag flips, and
+//   - pointer-reload-predictor entry corruption, and
 //   - forced context-switch state loss (cold cap/alias/TLB structures).
 //
 // Every outcome is classified against the fail-closed contract: corrupted
@@ -27,11 +26,8 @@ import (
 	"hash/fnv"
 	"math/rand"
 
-	"chex86/internal/asm"
 	"chex86/internal/core"
 	"chex86/internal/decode"
-	"chex86/internal/dift"
-	"chex86/internal/isa"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
 )
@@ -39,20 +35,20 @@ import (
 // Site names one fault-injection target in the security substrate.
 type Site string
 
-// The five fault families of the campaign's fault model (the two in-core
-// metadata caches are separate sites of the same cache-drop family).
+// The four fault families of the campaign's fault model, as five sites (the
+// two in-core metadata caches are separate sites of the same cache-drop
+// family).
 const (
 	SiteCapTable   Site = "cap-table"   // shadow capability table bit flips / evictions
 	SiteCapCache   Site = "cap-cache"   // capability-cache line drops
 	SiteAliasCache Site = "alias-cache" // alias-cache line drops
 	SitePredictor  Site = "predictor"   // pointer-reload predictor entry corruption
-	SiteDIFT       Site = "dift-tag"    // DIFT taint-tag flips
 	SiteCtxSwitch  Site = "ctx-switch"  // forced context-switch state loss
 )
 
 // AllSites returns every injection site in report order.
 func AllSites() []Site {
-	return []Site{SiteCapTable, SiteCapCache, SiteAliasCache, SitePredictor, SiteDIFT, SiteCtxSwitch}
+	return []Site{SiteCapTable, SiteCapCache, SiteAliasCache, SitePredictor, SiteCtxSwitch}
 }
 
 // The fabric fault families: injection sites of the distributed campaign
@@ -81,8 +77,7 @@ const (
 	// ClassDetected: at least one injected fault surfaced as a Violation.
 	ClassDetected Class = "detected"
 	// ClassDegraded: every fault was absorbed with explicit accounting
-	// (quarantine/eviction counters, injected-tag-fault counters) but no
-	// violation fired.
+	// (quarantine and eviction counters) but no violation fired.
 	ClassDegraded Class = "degraded"
 	// ClassPerfOnly: the faults hit advisory/perf-only state; execution
 	// finished with unchanged enforcement behavior.
@@ -221,7 +216,7 @@ type RunReport struct {
 
 	FaultsInjected int    `json:"faults_injected"`
 	Violations     int    `json:"violations"` // violations surfaced during the run
-	Accounted      uint64 `json:"accounted"`  // explicit degradation accounting (quarantines, evictions, tag faults)
+	Accounted      uint64 `json:"accounted"`  // explicit degradation accounting (quarantines, evictions)
 	Cycles         uint64 `json:"cycles"`
 	Insts          uint64 `json:"insts"`
 
@@ -347,11 +342,6 @@ func runOne(cfg *Config, w, v string, site Site) (rr RunReport) {
 	if err != nil {
 		rr.Class = ClassSilent
 		rr.Error = err.Error()
-		return rr
-	}
-
-	if site == SiteDIFT {
-		runDIFT(cfg, rng, prog, &rr)
 		return rr
 	}
 
@@ -483,66 +473,4 @@ func inject(sim *pipeline.Sim, site Site, rng *rand.Rand, harts int, flipped map
 		return 1
 	}
 	return 0
-}
-
-// runDIFT exercises the taint-tag fault site: the workload runs under the
-// DIFT engine with no configured untrusted sources, so the only taint in
-// the system is what the campaign injects — register and memory tag flips
-// at a deterministic instruction stride. Flips are always accounted
-// (InjectedTagFaults), so the outcome is degraded-by-construction; if a
-// flipped tag reaches a policy check (tainted pointer or jump target), the
-// engine detects it, which is the fail-closed upgrade path.
-func runDIFT(cfg *Config, rng *rand.Rand, prog *asm.Program, rr *RunReport) {
-	eng := dift.NewEngine(dift.DefaultPolicy())
-	var regions []asm.Global
-	for _, g := range prog.Globals {
-		if !g.ReadOnly && g.Size >= 8 {
-			regions = append(regions, g)
-		}
-	}
-
-	quota := cfg.FaultsPerRun
-	stride := cfg.MaxInsts / uint64(quota+1)
-	if stride == 0 {
-		stride = 1
-	}
-	injected := 0
-	eng.OnInst = func(n uint64) {
-		if injected >= quota || n%stride != 0 {
-			return
-		}
-		if len(regions) > 0 && rng.Intn(2) == 0 {
-			g := regions[rng.Intn(len(regions))]
-			eng.FlipMem(g.Addr + uint64(rng.Intn(int(g.Size/8)))*8)
-			injected++
-			return
-		}
-		// Architectural register tags only; FLAGS and temporaries are
-		// rejected by FlipReg, so retry within this fault slot.
-		for tries := 0; tries < 8; tries++ {
-			if eng.FlipReg(isa.Reg(1 + rng.Intn(int(isa.NumRegs)-1))) {
-				injected++
-				return
-			}
-		}
-	}
-
-	v, err := eng.Run(prog, cfg.MaxInsts)
-	rr.FaultsInjected = int(eng.Stats.InjectedTagFaults)
-	rr.Accounted = eng.Stats.InjectedTagFaults
-	rr.Insts = eng.Insts
-	if err != nil {
-		rr.Class = ClassSilent
-		rr.Error = err.Error()
-		return
-	}
-	switch {
-	case v != nil:
-		rr.Violations = 1
-		rr.Class = ClassDetected
-	case rr.FaultsInjected > 0:
-		rr.Class = ClassDegraded
-	default:
-		rr.Class = ClassPerfOnly
-	}
 }

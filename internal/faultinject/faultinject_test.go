@@ -98,13 +98,17 @@ func TestCapTableFaultsAccounted(t *testing.T) {
 	}
 }
 
-// TestConfigValidation: unknown workloads and variants are campaign
-// configuration errors, not silent no-ops.
+// TestConfigValidation: unknown workloads, variants and sites are campaign
+// configuration errors, not silent no-ops. A site that was removed fails
+// closed like any other unknown name.
 func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Workloads: []string{"nope"}}); err == nil {
 		t.Fatal("unknown workload must be rejected")
 	}
 	if _, err := Run(Config{Variants: []string{"nope"}}); err == nil {
 		t.Fatal("unknown variant must be rejected")
+	}
+	if _, err := Run(Config{Sites: []Site{"dift-tag"}}); err == nil {
+		t.Fatal("removed site must be rejected")
 	}
 }

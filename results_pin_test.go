@@ -25,7 +25,7 @@ import (
 var pinnedResults = map[string]string{
 	"fig6.json":               "0dd5d7038ba334591002bca40c09d56d5c987320870a13fa499a6c6543f67d66",
 	"elision.json":            "9c222ee6f2554809126e1213cb81c52b5728f62c2ba24ede978d2068a58936dc",
-	"chexfault-seed1.json":    "aae234bad2c50ab1ae7644bc9c4d8b5fea6790bd0b47e9c57132143f710b3136",
+	"chexfault-seed1.json":    "cfd05cb21da4beb300824531e5c9995d760b140b25f57adc519fd6548e0c9b51",
 	"chexsec-baseline.json":   "24cae9b904efe2575fbcc3cced33a36f589c5916ba3220933e7c89bb8eef54f0",
 	"chexsec-hardware.json":   "c2773a91a510ea16bcec330bbff9278e043ebeb122bb0ff470b68435feb06f73",
 	"chexsec-bintrans.json":   "c2773a91a510ea16bcec330bbff9278e043ebeb122bb0ff470b68435feb06f73",
