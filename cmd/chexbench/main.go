@@ -8,13 +8,10 @@
 //	chexbench -table 1             # one table
 //	chexbench -fig 6 -scale 0.25   # quicker, scaled run
 //	chexbench -benches mcf,lbm     # restrict the benchmark set
-//	chexbench -campaign            # run the catalog through the sharded
-//	                               # campaign pool with result caching
 //	chexbench -fig 6 -cpuprofile cpu.pprof   # profile the host hot loop
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,12 +20,8 @@ import (
 	"strings"
 	"time"
 
-	"chex86/internal/campaign"
 	"chex86/internal/cvedata"
-	"chex86/internal/decode"
 	"chex86/internal/experiments"
-	"chex86/internal/pipeline"
-	"chex86/internal/workload"
 )
 
 // stopProfiles flushes any active -cpuprofile/-memprofile capture; exit
@@ -57,10 +50,6 @@ func main() {
 	stamp := flag.String("stamp", "", "run identifier embedded in the report header (default: current time; pass a fixed stamp for byte-reproducible reports)")
 	coverage := flag.Bool("coverage", false, "run the static pointer-flow cross-check and report tracker coverage")
 	elideMode := flag.Bool("elide", false, "run proof-carrying check elision: analyze, verify proofs, replay with the elision map, report elision rate and speedup")
-	campaignMode := flag.Bool("campaign", false, "run the benchmark catalog through the sharded campaign worker pool with content-addressed result caching")
-	campaignVariants := flag.String("campaign-variants", "prediction", "comma-separated protection variants for -campaign")
-	cacheDir := flag.String("cache-dir", ".chexcampaign", "campaign result cache directory (empty disables caching)")
-	workers := flag.Int("workers", 0, "campaign pool shards (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	ctxK := flag.Int("ctxk", 0, "call-string depth for -elide proofs (0 = default k=2, -1 = context-insensitive)")
@@ -81,24 +70,6 @@ func main() {
 	// the determinism linter (chexvet) keeps it that way.
 	if *stamp == "" {
 		*stamp = time.Now().Format(time.RFC3339) //determinism:ok — CLI-level stamp, overridable with -stamp
-	}
-
-	if *campaignMode {
-		err := runCampaign(campaignFlags{
-			benches:   *benches,
-			variants:  *campaignVariants,
-			scale:     *scale,
-			insts:     *insts,
-			maxCycles: *maxCycles,
-			timeout:   *timeout,
-			cacheDir:  *cacheDir,
-			workers:   *workers,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chexbench:", err)
-			exit(1)
-		}
-		return
 	}
 
 	if *report != "" {
@@ -337,98 +308,6 @@ func main() {
 			return nil
 		})
 	}
-}
-
-type campaignFlags struct {
-	benches   string
-	variants  string
-	scale     float64
-	insts     uint64
-	maxCycles uint64
-	timeout   time.Duration
-	cacheDir  string
-	workers   int
-}
-
-// runCampaign routes the benchmark catalog through the campaign worker
-// pool: every (workload, variant) pair becomes a job, the pool executes
-// them on GOMAXPROCS shards, and the content-addressed cache serves
-// repeated configurations without re-simulating. The report's wall-time
-// and Kinst/s columns make cache hits (source=cache, ~0 wall, no IPS)
-// distinguishable from real runs.
-func runCampaign(f campaignFlags) error {
-	var cache *campaign.Cache
-	if f.cacheDir != "" {
-		var err error
-		if cache, err = campaign.OpenCache(f.cacheDir); err != nil {
-			return err
-		}
-	}
-	poolOpts := campaign.Options{
-		Workers: f.workers,
-		// Wall-clock reads stay in the CLI: the pool measures per-job wall
-		// time through this injected probe, and internal/campaign passes
-		// the chexvet determinism gate with zero waivers.
-		Clock: func() int64 { return time.Now().UnixNano() }, //determinism:ok — CLI wall-time probe
-	}
-	if cache != nil {
-		// Assign only when present: a typed-nil *Cache in the interface
-		// field would read as "cache configured".
-		poolOpts.Cache = cache
-	}
-	pool := campaign.NewPool(poolOpts)
-	defer pool.Close()
-
-	names := workload.Names()
-	if f.benches != "" {
-		names = strings.Split(f.benches, ",")
-	}
-
-	start := time.Now() //determinism:ok — CLI wall-time probe
-	var jobs []*campaign.Job
-	for _, vname := range strings.Split(f.variants, ",") {
-		vname = strings.TrimSpace(vname)
-		v, ok := decode.ParseVariant(vname)
-		if !ok {
-			return fmt.Errorf("unknown variant %q", vname)
-		}
-		for _, name := range names {
-			cfg := pipeline.DefaultConfig()
-			cfg.Variant = v
-			spec := campaign.BenchSpec(name, cfg, f.scale, f.insts, f.maxCycles)
-			spec.TimeoutMS = f.timeout.Milliseconds()
-			j, err := pool.Submit(spec)
-			if err != nil {
-				return err
-			}
-			jobs = append(jobs, j)
-		}
-	}
-
-	failed := 0
-	for _, j := range jobs {
-		if _, err := j.Wait(context.Background()); err != nil {
-			failed++
-		}
-	}
-	elapsed := time.Since(start) //determinism:ok — CLI wall-time probe
-
-	fmt.Printf("==== Campaign (%d jobs on %d workers) ====\n", len(jobs), pool.Workers())
-	fmt.Print(campaign.FormatReport(jobs))
-	var simNS int64
-	for _, j := range jobs {
-		simNS += j.WallNS()
-	}
-	if sec := elapsed.Seconds(); sec > 0 && simNS > 0 {
-		fmt.Printf("campaign wall-clock %.3fs; aggregate simulation time %.3fs (%.2fx parallel speedup over the sequential path)\n",
-			sec, float64(simNS)/1e9, float64(simNS)/1e9/sec)
-	}
-	fmt.Println()
-	fmt.Print(pool.Metrics().Snapshot().Render())
-	if failed > 0 {
-		return fmt.Errorf("%d of %d campaign jobs failed", failed, len(jobs))
-	}
-	return nil
 }
 
 // startProfiles begins CPU and/or heap profiling. The returned stop

@@ -1,11 +1,9 @@
-// Command chexd serves the campaign orchestration subsystem over HTTP:
-// submit simulation jobs, watch their progress, and read memoized results
-// from the content-addressed cache. It is the service front-end to
-// internal/campaign — the same pool and cache that back `chexbench
-// -campaign` and `chexfault -pool` — and, since PR 6, the coordinator of
-// the distributed campaign fabric (internal/fabric): chexworker nodes
+// Command chexd is the coordinator of the distributed campaign fabric
+// (internal/fabric) and the one way into a campaign: submit a bench or
+// fault campaign, watch it, and read its merged report. chexworker nodes
 // register here, lease campaign cells under time-bounded leases, and feed
-// results back into the shared content-addressed store.
+// results back into the shared content-addressed store; with no worker
+// registered, the coordinator runs cells on its own campaign pool.
 //
 // Usage:
 //
@@ -15,24 +13,19 @@
 //
 // API (see README.md for curl examples):
 //
-//	POST /api/v1/jobs                    submit one job (local pool)
-//	POST /api/v1/campaign                submit one bench job per workload (default: full catalog)
-//	GET  /api/v1/jobs                    list jobs
-//	GET  /api/v1/jobs/{id}               job status (+result when done); ?wait=1 blocks
-//	GET  /api/v1/jobs/{id}/stream        server-sent-event progress stream
-//	GET  /api/v1/results/{key}           cached result by content address
-//	POST /api/v1/fabric/campaign         submit a distributed campaign (429 + Retry-After under backpressure)
-//	GET  /api/v1/fabric/campaigns        list distributed campaigns
+//	POST /api/v1/fabric/campaign         submit a campaign (429 + Retry-After under backpressure)
+//	GET  /api/v1/fabric/campaigns        list campaigns
 //	GET  /api/v1/fabric/campaigns/{id}   campaign status (+results when done); ?wait=1 blocks, ?detail=1 per-cell
 //	GET  /api/v1/fabric/campaigns/{id}/report  merged fault report (byte-identical to a sequential run)
 //	GET  /api/v1/fabric/workers          registered worker nodes
-//	POST /fabric/v1/...                  worker wire protocol (register/heartbeat/lease/complete/cache)
+//	GET  /fabric/v1/cache/{key}          cached result by content address
+//	POST /fabric/v1/...                  worker wire protocol (register/heartbeat/deregister/lease/complete)
 //	GET  /metrics                        pool + fabric counters (text exposition format)
 //	GET  /healthz                        liveness
 //
 // The server carries read/write/idle timeouts and shuts down gracefully:
 // SIGINT/SIGTERM stops accepting connections, drains in-flight HTTP
-// requests and pool jobs for -drain, then exits.
+// requests and campaigns for -drain, then exits.
 package main
 
 import (
@@ -48,7 +41,6 @@ import (
 
 	"chex86/internal/campaign"
 	"chex86/internal/fabric"
-	"chex86/internal/lockstep"
 )
 
 // wallClock adapts the host clock to fabric.Clock. It lives here in the
@@ -63,18 +55,17 @@ func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 func main() {
 	addr := flag.String("addr", ":8086", "listen address")
 	cacheDir := flag.String("cache-dir", ".chexcampaign", "content-addressed result cache directory (empty disables caching)")
-	workers := flag.Int("workers", 0, "worker pool shards (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "local pool workers for cells run with no chexworker registered (0 = GOMAXPROCS)")
 	scale := flag.Float64("scale", 1.0, "default workload scale for requests that omit one")
 	insts := flag.Uint64("insts", 0, "default per-run macro-instruction budget (0 = completion)")
 	maxCycles := flag.Uint64("max-cycles", 0, "default per-run simulated-cycle budget (0 = none)")
-	fabricOn := flag.Bool("fabric", true, "serve the distributed campaign fabric (coordinator mode)")
 	leaseTTL := flag.Duration("lease-ttl", 60*time.Second, "fabric cell lease TTL before reassignment")
 	heartbeatTTL := flag.Duration("heartbeat-ttl", 15*time.Second, "fabric worker heartbeat TTL before deregistration")
 	maxQueue := flag.Int("max-queue", 4096, "fabric admission control: max pending cells before 429")
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "HTTP server read timeout")
-	writeTimeout := flag.Duration("write-timeout", 10*time.Minute, "HTTP server write timeout (bounds long waits and SSE streams)")
+	writeTimeout := flag.Duration("write-timeout", 10*time.Minute, "HTTP server write timeout (bounds long waits)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "HTTP server idle connection timeout")
-	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight requests and jobs")
+	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget for in-flight requests and campaigns")
 	flag.Parse()
 
 	var cache *campaign.Cache
@@ -86,45 +77,14 @@ func main() {
 		}
 	}
 
-	poolOpts := campaign.Options{
-		Workers: *workers,
-		// The wall clock lives here in the CLI, injected into the pool, so
-		// internal/campaign stays free of time.Now and the chexvet
-		// determinism gate holds with zero waivers; per-job wall time is a
-		// runtime observation, never part of the cached payload.
-		Clock: func() int64 { return time.Now().UnixNano() }, //determinism:ok — service-level wall-time probe
-	}
-	if cache != nil {
-		poolOpts.Cache = cache
-	}
-	pool := campaign.NewPool(poolOpts)
-	defer pool.Close()
-
-	// Same injection for the lockstep shrink-duration metric: the counter
-	// lives in internal/lockstep (zero waivers), the clock lives here.
-	lockstep.SharedMetrics.SetClock(func() int64 { return time.Now().UnixNano() }) //determinism:ok — service-level wall-time probe
-
-	srv := &server{
-		pool:         pool,
-		cache:        cache,
-		defScale:     *scale,
-		defMaxInsts:  *insts,
-		defMaxCycles: *maxCycles,
-	}
-
-	if *fabricOn {
-		srv.coord = fabric.NewCoordinator(fabric.CoordinatorOptions{
-			Clock:        wallClock{},
-			LeaseTTL:     *leaseTTL,
-			HeartbeatTTL: *heartbeatTTL,
-			MaxQueue:     *maxQueue,
-			Cache:        cache,
-			// The coordinator's own pool is the bottom rung of the
-			// degradation ladder: with zero workers registered, campaigns
-			// execute locally and chexd keeps serving.
-			Local: pool,
-		})
-	}
+	srv := newServer(cache, *workers, fabric.CoordinatorOptions{
+		Clock:        wallClock{},
+		LeaseTTL:     *leaseTTL,
+		HeartbeatTTL: *heartbeatTTL,
+		MaxQueue:     *maxQueue,
+	})
+	defer srv.pool.Close()
+	srv.defScale, srv.defMaxInsts, srv.defMaxCycles = *scale, *insts, *maxCycles
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -140,25 +100,23 @@ func main() {
 
 	// Periodic fabric tick: reap silent workers and expired leases even
 	// when no traffic arrives to do it reactively.
-	if srv.coord != nil {
-		go func() {
-			t := time.NewTicker(time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					srv.coord.Tick()
-				}
+	go func() {
+		t := time.NewTicker(time.Second)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+				srv.coord.Tick()
 			}
-		}()
-	}
+		}
+	}()
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "chexd: listening on %s (workers=%d, cache=%s, fabric=%v)\n",
-		*addr, pool.Workers(), *cacheDir, srv.coord != nil)
+	fmt.Fprintf(os.Stderr, "chexd: listening on %s (workers=%d, cache=%s)\n",
+		*addr, srv.pool.Workers(), *cacheDir)
 
 	select {
 	case err := <-errc:
@@ -174,20 +132,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "chexd: shutdown:", err)
 		}
 		cancel()
-		drainJobs(pool, deadline)
+		drainCampaigns(srv.coord, deadline)
 	}
 }
 
-// drainJobs waits for every in-flight pool job to reach a terminal state,
-// up to the deadline, so SIGTERM does not abandon work mid-simulation.
-func drainJobs(pool *campaign.Pool, deadline time.Time) {
+// drainCampaigns waits for every submitted campaign to finish, up to the
+// deadline, so SIGTERM does not abandon cells mid-simulation.
+func drainCampaigns(coord *fabric.Coordinator, deadline time.Time) {
 	dctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
-	for _, j := range pool.Jobs() {
-		select {
-		case <-j.Done():
-		case <-dctx.Done():
-			fmt.Fprintln(os.Stderr, "chexd: drain budget exhausted; abandoning remaining jobs")
+	for _, camp := range coord.Campaigns() {
+		if camp.Wait(dctx) != nil {
+			fmt.Fprintln(os.Stderr, "chexd: drain budget exhausted; abandoning remaining campaigns")
 			return
 		}
 	}

@@ -7,23 +7,20 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"chex86/internal/campaign"
 	"chex86/internal/decode"
 	"chex86/internal/fabric"
 	"chex86/internal/faultinject"
-	"chex86/internal/lockstep"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
 )
 
-// server wires the campaign pool, cache, and (optionally) the fabric
-// coordinator into the HTTP API.
+// server wires the fabric coordinator and its local pool into the HTTP
+// API.
 type server struct {
-	pool  *campaign.Pool
-	cache *campaign.Cache
-	coord *fabric.Coordinator // nil = fabric disabled
+	pool  *campaign.Pool // the coordinator's zero-worker rung
+	coord *fabric.Coordinator
 
 	// Request defaults (flag-configurable).
 	defScale     float64
@@ -31,33 +28,16 @@ type server struct {
 	defMaxCycles uint64
 }
 
-// jobRequest is the submission body for POST /api/v1/jobs.
-type jobRequest struct {
-	Mode      string              `json:"mode,omitempty"` // "bench" (default), "fault", or "lockstep"
-	Workload  string              `json:"workload,omitempty"`
-	Variant   string              `json:"variant,omitempty"` // "prediction" (default), "baseline", ...
-	Scale     float64             `json:"scale,omitempty"`
-	MaxInsts  uint64              `json:"maxInsts,omitempty"`
-	MaxCycles uint64              `json:"maxCycles,omitempty"`
-	TimeoutMS int64               `json:"timeoutMS,omitempty"`
-	Fault     *faultinject.Config `json:"fault,omitempty"`
-	Lockstep  *lockstep.SweepSpec `json:"lockstep,omitempty"`
-}
-
-// campaignRequest is the batch body for POST /api/v1/campaign: one bench
-// job per workload (empty = the full 14-workload catalog).
-type campaignRequest struct {
-	Workloads []string `json:"workloads,omitempty"`
-	Variant   string   `json:"variant,omitempty"`
-	Scale     float64  `json:"scale,omitempty"`
-	MaxInsts  uint64   `json:"maxInsts,omitempty"`
-	MaxCycles uint64   `json:"maxCycles,omitempty"`
-}
-
-// jobResponse is a job status, plus the result once terminal.
-type jobResponse struct {
-	campaign.JobStatus
-	Result *campaign.Result `json:"result,omitempty"`
+// newServer builds the coordinator over a local pool of the given size,
+// the bottom rung of the degradation ladder: with zero workers
+// registered, campaigns execute on that pool and chexd keeps serving. The
+// pool has no cache of its own, because the coordinator looks each cell
+// up in cache (nil = none) before queueing it and stores each result: a
+// cell run locally is looked up once and written once.
+func newServer(cache *campaign.Cache, workers int, opts fabric.CoordinatorOptions) *server {
+	pool := campaign.NewPool(campaign.Options{Workers: workers})
+	opts.Cache, opts.Local = cache, pool
+	return &server{pool: pool, coord: fabric.NewCoordinator(opts)}
 }
 
 // errorResponse is every non-2xx body.
@@ -65,75 +45,18 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func (s *server) spec(req *jobRequest) (campaign.Spec, error) {
-	mode := campaign.Mode(req.Mode)
-	if req.Mode == "" {
-		mode = campaign.ModeBench
-	}
-	switch mode {
-	case campaign.ModeFault:
-		if req.Fault == nil {
-			return campaign.Spec{}, errors.New("fault mode needs a fault config")
-		}
-		spec := campaign.FaultSpec(*req.Fault)
-		spec.TimeoutMS = req.TimeoutMS
-		return spec, nil
-	case campaign.ModeLockstep:
-		if req.Lockstep == nil {
-			return campaign.Spec{}, errors.New("lockstep mode needs a lockstep sweep spec")
-		}
-		spec := campaign.LockstepSpec(*req.Lockstep)
-		spec.TimeoutMS = req.TimeoutMS
-		return spec, nil
-	case campaign.ModeBench:
-		cfg := pipeline.DefaultConfig()
-		if req.Variant != "" {
-			v, ok := decode.ParseVariant(req.Variant)
-			if !ok {
-				return campaign.Spec{}, fmt.Errorf("unknown variant %q", req.Variant)
-			}
-			cfg.Variant = v
-		}
-		scale := req.Scale
-		if scale <= 0 {
-			scale = s.defScale
-		}
-		maxInsts := req.MaxInsts
-		if maxInsts == 0 {
-			maxInsts = s.defMaxInsts
-		}
-		maxCycles := req.MaxCycles
-		if maxCycles == 0 {
-			maxCycles = s.defMaxCycles
-		}
-		spec := campaign.BenchSpec(req.Workload, cfg, scale, maxInsts, maxCycles)
-		spec.TimeoutMS = req.TimeoutMS
-		return spec, nil
-	}
-	return campaign.Spec{}, fmt.Errorf("unknown mode %q", req.Mode)
-}
-
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /api/v1/campaign", s.handleCampaign)
-	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
-	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /api/v1/results/{key}", s.handleResult)
-	if s.coord != nil {
-		// Distributed campaign fabric: the operator-facing campaign API
-		// plus the worker wire protocol (register/heartbeat/lease/
-		// complete/cache) under /fabric/v1/.
-		mux.HandleFunc("POST /api/v1/fabric/campaign", s.handleFabricSubmit)
-		mux.HandleFunc("GET /api/v1/fabric/campaigns", s.handleFabricList)
-		mux.HandleFunc("GET /api/v1/fabric/campaigns/{id}", s.handleFabricCampaign)
-		mux.HandleFunc("GET /api/v1/fabric/campaigns/{id}/report", s.handleFabricReport)
-		mux.HandleFunc("GET /api/v1/fabric/workers", s.handleFabricWorkers)
-		mux.Handle("/fabric/v1/", s.coord.Handler())
-	}
+	// The operator-facing campaign API, plus the worker wire protocol
+	// (register/heartbeat/lease/complete/cache) under /fabric/v1/.
+	mux.HandleFunc("POST /api/v1/fabric/campaign", s.handleFabricSubmit)
+	mux.HandleFunc("GET /api/v1/fabric/campaigns", s.handleFabricList)
+	mux.HandleFunc("GET /api/v1/fabric/campaigns/{id}", s.handleFabricCampaign)
+	mux.HandleFunc("GET /api/v1/fabric/campaigns/{id}/report", s.handleFabricReport)
+	mux.HandleFunc("GET /api/v1/fabric/workers", s.handleFabricWorkers)
+	mux.Handle("/fabric/v1/", s.coord.Handler())
 	// Live profiling of a serving daemon: `go tool pprof
 	// http://host/debug/pprof/profile` captures the campaign workers' hot
 	// loop under real job load (README "Host throughput" has a quickstart).
@@ -169,180 +92,19 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, s.pool.Metrics().Snapshot().Render())
-	if s.coord != nil {
-		fmt.Fprint(w, s.coord.Metrics().Snapshot().Render())
-	}
-	fmt.Fprint(w, lockstep.SharedMetrics.Snapshot().Render())
+	fmt.Fprint(w, s.coord.Metrics().Snapshot().Render())
 }
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	spec, err := s.spec(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := s.pool.Submit(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, s.jobResponse(job))
-}
-
-func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	var req campaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	names := req.Workloads
-	if len(names) == 0 {
-		names = workload.Names()
-	}
-	var jobs []jobResponse
-	for _, name := range names {
-		jr := jobRequest{
-			Workload:  name,
-			Variant:   req.Variant,
-			Scale:     req.Scale,
-			MaxInsts:  req.MaxInsts,
-			MaxCycles: req.MaxCycles,
-		}
-		spec, err := s.spec(&jr)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", name, err))
-			return
-		}
-		j, err := s.pool.Submit(spec)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", name, err))
-			return
-		}
-		jobs = append(jobs, s.jobResponse(j))
-	}
-	writeJSON(w, http.StatusAccepted, struct {
-		Jobs []jobResponse `json:"jobs"`
-	}{jobs})
-}
-
-func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	var out []jobResponse
-	for _, j := range s.pool.Jobs() {
-		out = append(out, jobResponse{JobStatus: j.Status()})
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Jobs []jobResponse `json:"jobs"`
-	}{out})
-}
-
-// jobByID resolves the {id} path value.
-func (s *server) jobByID(w http.ResponseWriter, r *http.Request) *campaign.Job {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job id %q", r.PathValue("id")))
-		return nil
-	}
-	j := s.pool.Job(id)
-	if j == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %d", id))
-		return nil
-	}
-	return j
-}
-
-func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(w, r)
-	if j == nil {
-		return
-	}
-	if r.URL.Query().Get("wait") != "" {
-		if _, err := j.Wait(r.Context()); err != nil && r.Context().Err() != nil {
-			writeError(w, http.StatusRequestTimeout, r.Context().Err())
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, s.jobResponse(j))
-}
-
-// handleStream serves server-sent events: one status snapshot per event
-// while the job runs, then a final event carrying the result.
-func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.jobByID(w, r)
-	if j == nil {
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	ticker := time.NewTicker(200 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		resp := s.jobResponse(j)
-		data, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "data: %s\n\n", data)
-		flusher.Flush()
-		if resp.State == campaign.JobDone || resp.State == campaign.JobFailed {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-j.Done():
-			// Loop once more to emit the terminal event.
-		case <-ticker.C:
-		}
-	}
-}
-
-func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		writeError(w, http.StatusNotFound, errors.New("no result cache configured"))
-		return
-	}
-	key := r.PathValue("key")
-	res, ok := s.cache.Get(key)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no cached result for %s", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// jobResponse renders a job's status, attaching the result when terminal.
-func (s *server) jobResponse(j *campaign.Job) jobResponse {
-	resp := jobResponse{JobStatus: j.Status()}
-	if resp.State == campaign.JobDone {
-		resp.Result, _ = j.Result()
-	}
-	return resp
-}
-
-// fabricCampaignRequest submits a distributed campaign. Fault mode shards
-// a fault-injection configuration into its workload × variant × site
-// cells; bench mode shards a workload list into one bench cell per
-// workload.
+// fabricCampaignRequest submits a campaign. With a fault config it is a
+// fault campaign, sharded into workload × variant × site cells; without
+// one it is a bench campaign of one cell per workload.
 type fabricCampaignRequest struct {
-	Mode     string              `json:"mode,omitempty"` // "fault" (default when fault set) or "bench"
 	Fault    *faultinject.Config `json:"fault,omitempty"`
 	Priority int                 `json:"priority,omitempty"`
 
-	// Bench mode.
-	Workloads []string `json:"workloads,omitempty"`
-	Variant   string   `json:"variant,omitempty"`
+	// Bench mode (unset budgets take chexd's flag defaults).
+	Workloads []string `json:"workloads,omitempty"` // empty = the full catalog
+	Variant   string   `json:"variant,omitempty"`   // "prediction" (default), "baseline", ...
 	Scale     float64  `json:"scale,omitempty"`
 	MaxInsts  uint64   `json:"maxInsts,omitempty"`
 	MaxCycles uint64   `json:"maxCycles,omitempty"`
@@ -358,35 +120,22 @@ type fabricCampaignResponse struct {
 
 func (s *server) handleFabricSubmit(w http.ResponseWriter, r *http.Request) {
 	var req fabricCampaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A misspelled or removed field is an error, not a silent default.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	var camp *fabric.Campaign
 	var err error
-	switch {
-	case req.Fault != nil:
+	if req.Fault != nil {
 		camp, err = s.coord.SubmitFault(*req.Fault, req.Priority)
-	default:
-		names := req.Workloads
-		if len(names) == 0 {
-			names = workload.Names()
-		}
+	} else {
 		var cells []campaign.Spec
-		for _, name := range names {
-			jr := jobRequest{
-				Workload:  name,
-				Variant:   req.Variant,
-				Scale:     req.Scale,
-				MaxInsts:  req.MaxInsts,
-				MaxCycles: req.MaxCycles,
-			}
-			spec, serr := s.spec(&jr)
-			if serr != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("%s: %w", name, serr))
-				return
-			}
-			cells = append(cells, spec)
+		if cells, err = s.benchCells(&req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
 		camp, err = s.coord.Submit(cells, req.Priority)
 	}
@@ -402,6 +151,37 @@ func (s *server) handleFabricSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.fabricResponse(camp, false))
+}
+
+// benchCells expands a bench campaign into one cell per workload.
+func (s *server) benchCells(req *fabricCampaignRequest) ([]campaign.Spec, error) {
+	cfg := pipeline.DefaultConfig()
+	if req.Variant != "" {
+		v, ok := decode.ParseVariant(req.Variant)
+		if !ok {
+			return nil, fmt.Errorf("unknown variant %q", req.Variant)
+		}
+		cfg.Variant = v
+	}
+	scale, maxInsts, maxCycles := req.Scale, req.MaxInsts, req.MaxCycles
+	if scale <= 0 {
+		scale = s.defScale
+	}
+	if maxInsts == 0 {
+		maxInsts = s.defMaxInsts
+	}
+	if maxCycles == 0 {
+		maxCycles = s.defMaxCycles
+	}
+	names := req.Workloads
+	if len(names) == 0 {
+		names = workload.Names()
+	}
+	cells := make([]campaign.Spec, len(names))
+	for i, name := range names {
+		cells[i] = campaign.BenchSpec(name, cfg, scale, maxInsts, maxCycles)
+	}
+	return cells, nil
 }
 
 // fabricCampaignByID resolves the {id} path value.

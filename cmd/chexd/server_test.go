@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"io"
@@ -10,29 +9,27 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"chex86/internal/campaign"
 	"chex86/internal/fabric"
+	"chex86/internal/pipeline"
 )
 
-// newTestServer spins up a chexd handler over a tiny-workload pool.
-func newTestServer(t *testing.T) (*httptest.Server, *campaign.Pool) {
+// newTestServer spins up chexd's handler over a disk cache and a
+// two-worker local pool, with tiny per-cell defaults. No chexworker is
+// registered, so cells run on the local pool.
+func newTestServer(t *testing.T, maxQueue int) (*httptest.Server, *server, *campaign.Cache) {
 	t.Helper()
 	cache, err := campaign.OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := campaign.NewPool(campaign.Options{
-		Workers: 2,
-		Cache:   cache,
-		Clock:   func() int64 { return time.Now().UnixNano() },
-	})
-	t.Cleanup(pool.Close)
-	srv := &server{pool: pool, cache: cache, defScale: 0.1, defMaxInsts: 2000}
+	srv := newServer(cache, 2, fabric.CoordinatorOptions{Clock: wallClock{}, MaxQueue: maxQueue})
+	t.Cleanup(srv.pool.Close)
+	srv.defScale, srv.defMaxInsts = 0.1, 2000
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
-	return ts, pool
+	return ts, srv, cache
 }
 
 func postJSON(t *testing.T, url, body string) *http.Response {
@@ -44,201 +41,186 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 	return resp
 }
 
-func decodeJob(t *testing.T, resp *http.Response) jobResponse {
+// getBody fetches url and returns its status and body.
+func getBody(t *testing.T, url string) (int, []byte) {
 	t.Helper()
-	defer resp.Body.Close()
-	var jr jobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+	resp, err := http.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return jr
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
 }
 
+// submitCampaign posts a campaign and requires a 202.
+func submitCampaign(t *testing.T, ts *httptest.Server, body string) fabricCampaignResponse {
+	t.Helper()
+	resp := postJSON(t, ts.URL+"/api/v1/fabric/campaign", body)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit %s: status = %d", body, resp.StatusCode)
+	}
+	var fr fabricCampaignResponse
+	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
+// waitCampaign blocks on a campaign and returns its per-cell view.
+func waitCampaign(t *testing.T, ts *httptest.Server, id int) fabricCampaignResponse {
+	t.Helper()
+	code, body := getBody(t, ts.URL+"/api/v1/fabric/campaigns/"+strconv.Itoa(id)+"?wait=1&detail=1")
+	if code != http.StatusOK {
+		t.Fatalf("campaign %d: status = %d: %s", id, code, body)
+	}
+	var fr fabricCampaignResponse
+	if err := json.Unmarshal(body, &fr); err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
+// TestSubmitWaitAndCacheHit: a bench campaign runs on the local pool, and
+// its identical resubmission is served entirely from the cache, visible
+// per cell, on /metrics and at the cache's content address.
 func TestSubmitWaitAndCacheHit(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _, _ := newTestServer(t, 0)
 
-	resp := postJSON(t, ts.URL+"/api/v1/jobs", `{"workload":"mcf"}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
+	const body = `{"workloads":["mcf","lbm"]}`
+	fr := submitCampaign(t, ts, body)
+	done := waitCampaign(t, ts, fr.ID)
+	if done.State != fabric.CampaignDone || len(done.Detail) != 2 || len(done.Results) != 2 {
+		t.Fatalf("campaign = %+v, want 2 done cells", done.CampaignStatus)
 	}
-	jr := decodeJob(t, resp)
-	if jr.ID != 1 || jr.Mode != campaign.ModeBench || jr.Workload != "mcf" {
-		t.Fatalf("unexpected job response: %+v", jr)
+	for _, cell := range done.Detail {
+		if cell.By != "local" {
+			t.Fatalf("cold cell %d executed by %q, want local", cell.Index, cell.By)
+		}
+	}
+	for i, res := range done.Results {
+		if res == nil || res.Bench == nil || res.Bench.Cycles == 0 {
+			t.Fatalf("cell %d has no bench result: %+v", i, res)
+		}
 	}
 
-	// Block until done, then check the result rode along.
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/1?wait=1")
+	again := waitCampaign(t, ts, submitCampaign(t, ts, body).ID)
+	if again.State != fabric.CampaignDone {
+		t.Fatalf("resubmission = %+v", again.CampaignStatus)
+	}
+	for _, cell := range again.Detail {
+		if cell.By != "cache" {
+			t.Fatalf("resubmitted cell %d served by %q, want cache", cell.Index, cell.By)
+		}
+	}
+	if _, metrics := getBody(t, ts.URL+"/metrics"); !strings.Contains(string(metrics), "fabric_cells_from_cache 2\n") {
+		t.Fatalf("/metrics missing two cache-served cells:\n%s", metrics)
+	}
+
+	// The mcf cell's result is served at its content address.
+	spec := campaign.BenchSpec("mcf", pipeline.DefaultConfig(), 0.1, 2000, 0)
+	key, err := spec.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := decodeJob(t, resp)
-	if done.State != campaign.JobDone {
-		t.Fatalf("state after wait = %s (%s)", done.State, done.Error)
+	code, cached := getBody(t, ts.URL+"/fabric/v1/cache/"+key)
+	if code != http.StatusOK {
+		t.Fatalf("cache lookup status = %d", code)
 	}
-	if done.Result == nil || done.Result.Bench == nil || done.Result.Bench.Cycles == 0 {
-		t.Fatalf("no result attached: %+v", done)
-	}
-	if done.Cached {
-		t.Fatal("cold-cache run reported cached")
-	}
-
-	// Identical resubmission: a cache hit, visible in the job record and
-	// the metrics endpoint.
-	jr2 := decodeJob(t, postJSON(t, ts.URL+"/api/v1/jobs", `{"workload":"mcf"}`))
-	if !jr2.Cached {
-		t.Fatalf("resubmission not served from cache: %+v", jr2)
-	}
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
+	var res campaign.Result
+	if err := json.Unmarshal(cached, &res); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		sb.WriteString(sc.Text() + "\n")
-	}
-	resp.Body.Close()
-	metrics := sb.String()
-	if !strings.Contains(metrics, "campaign_cache_hits 1") {
-		t.Fatalf("metrics missing cache hit:\n%s", metrics)
-	}
-
-	// The cached result is addressable by key.
-	resp, err = http.Get(ts.URL + "/api/v1/results/" + jr2.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("results lookup status = %d", resp.StatusCode)
+	if res.Workload != "mcf" || res.Bench == nil || *res.Bench != *done.Results[0].Bench {
+		t.Fatalf("cached result %+v differs from the campaign's mcf cell", res)
 	}
 }
 
-func TestCampaignBatchSubmit(t *testing.T) {
-	ts, pool := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/api/v1/campaign", `{"workloads":["mcf","lbm"],"maxInsts":2000}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("campaign status = %d", resp.StatusCode)
-	}
-	var batch struct {
-		Jobs []jobResponse `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&batch); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(batch.Jobs) != 2 {
-		t.Fatalf("campaign submitted %d jobs, want 2", len(batch.Jobs))
-	}
-	for _, jr := range batch.Jobs {
-		j := pool.Job(jr.ID)
-		if j == nil {
-			t.Fatalf("job %d missing from pool", jr.ID)
-		}
-		if _, err := http.Get(ts.URL + "/api/v1/jobs/" + itoa(jr.ID) + "?wait=1"); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestLocalCellsWriteCacheOnce: a cell run on the coordinator's pool is
+// looked up and stored by the coordinator alone — the pool never touches
+// a cache — and the store holds one entry per cell.
+func TestLocalCellsWriteCacheOnce(t *testing.T) {
+	ts, srv, cache := newTestServer(t, 0)
+	waitCampaign(t, ts, submitCampaign(t, ts, `{"workloads":["mcf","lbm"]}`).ID)
 
-	// List shows both jobs terminal.
-	resp, err := http.Get(ts.URL + "/api/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
+	if m := srv.pool.Metrics().Snapshot(); m.CacheHits+m.CacheMisses != 0 || m.Started != 2 {
+		t.Fatalf("pool metrics = %+v, want 2 runs and no cache lookups", m)
+	}
+	if n, err := cache.Len(); err != nil || n != 2 {
+		t.Fatalf("cache holds %d entries (%v), want one per cell", n, err)
+	}
+}
+
+// TestCampaignBatchSubmit: one submission shards a workload list into one
+// bench cell per workload, and the campaign list shows it finished.
+func TestCampaignBatchSubmit(t *testing.T) {
+	ts, _, _ := newTestServer(t, 0)
+	fr := submitCampaign(t, ts, `{"workloads":["mcf","lbm"],"maxInsts":1500}`)
+	if fr.Cells != 2 || fr.Mode != campaign.ModeBench {
+		t.Fatalf("campaign = %+v, want 2 bench cells", fr.CampaignStatus)
+	}
+	waitCampaign(t, ts, fr.ID)
+
+	code, body := getBody(t, ts.URL+"/api/v1/fabric/campaigns")
+	if code != http.StatusOK {
+		t.Fatalf("list status = %d", code)
 	}
 	var list struct {
-		Jobs []jobResponse `json:"jobs"`
+		Campaigns []fabricCampaignResponse `json:"campaigns"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if len(list.Jobs) != 2 {
-		t.Fatalf("list = %d jobs, want 2", len(list.Jobs))
+	if len(list.Campaigns) != 1 {
+		t.Fatalf("list = %d campaigns, want 1", len(list.Campaigns))
 	}
-	for _, jr := range list.Jobs {
-		if jr.State != campaign.JobDone {
-			t.Fatalf("job %d state = %s", jr.ID, jr.State)
-		}
-	}
-}
-
-func TestStreamEmitsTerminalEvent(t *testing.T) {
-	ts, _ := newTestServer(t)
-	jr := decodeJob(t, postJSON(t, ts.URL+"/api/v1/jobs", `{"workload":"mcf"}`))
-
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + itoa(jr.ID) + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream content-type = %q", ct)
-	}
-	var sawTerminal bool
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line, isData := strings.CutPrefix(sc.Text(), "data: ")
-		if !isData {
-			continue
-		}
-		var ev jobResponse
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad event %q: %v", line, err)
-		}
-		if ev.State == campaign.JobDone {
-			sawTerminal = true
-			if ev.Result == nil {
-				t.Fatal("terminal event carried no result")
-			}
-			break
-		}
-		if ev.State == campaign.JobFailed {
-			t.Fatalf("job failed: %s", ev.Error)
-		}
-	}
-	if !sawTerminal {
-		t.Fatal("stream ended without a terminal event")
+	if c := list.Campaigns[0]; c.ID != fr.ID || c.State != fabric.CampaignDone || c.Done != 2 {
+		t.Fatalf("listed campaign = %+v, want done with 2 cells", c.CampaignStatus)
 	}
 }
 
 func TestBadRequests(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, srv, _ := newTestServer(t, 0)
+	const submit = "/api/v1/fabric/campaign"
 	for name, tc := range map[string]struct {
 		method, path, body string
 		want               int
 	}{
-		"bad-json":         {"POST", "/api/v1/jobs", "{nope", http.StatusBadRequest},
-		"unknown-workload": {"POST", "/api/v1/jobs", `{"workload":"nonesuch"}`, http.StatusBadRequest},
-		"unknown-variant":  {"POST", "/api/v1/jobs", `{"workload":"mcf","variant":"nope"}`, http.StatusBadRequest},
-		"unknown-mode":     {"POST", "/api/v1/jobs", `{"mode":"mystery"}`, http.StatusBadRequest},
-		"missing-job":      {"GET", "/api/v1/jobs/99", "", http.StatusNotFound},
-		"bad-job-id":       {"GET", "/api/v1/jobs/xyz", "", http.StatusBadRequest},
-		"missing-result":   {"GET", "/api/v1/results/" + strings.Repeat("00", 32), "", http.StatusNotFound},
+		"bad-json":         {"POST", submit, "{nope", http.StatusBadRequest},
+		"unknown-workload": {"POST", submit, `{"workloads":["nonesuch"]}`, http.StatusBadRequest},
+		"unknown-variant":  {"POST", submit, `{"workloads":["mcf"],"variant":"nope"}`, http.StatusBadRequest},
+		"unknown-field":    {"POST", submit, `{"mode":"mystery","timeoutMS":5,"workloads":["mcf"]}`, http.StatusBadRequest},
+		"lockstep-field":   {"POST", submit, `{"lockstep":{"seed":5,"programs":2}}`, http.StatusBadRequest},
+		"misspelled-field": {"POST", submit, `{"workload":["mcf"]}`, http.StatusBadRequest},
+		"missing-campaign": {"GET", "/api/v1/fabric/campaigns/99", "", http.StatusNotFound},
+		"bad-campaign-id":  {"GET", "/api/v1/fabric/campaigns/xyz", "", http.StatusBadRequest},
+		"missing-result":   {"GET", "/fabric/v1/cache/" + strings.Repeat("00", 32), "", http.StatusNotFound},
 	} {
-		var resp *http.Response
-		var err error
+		var code int
 		if tc.method == "POST" {
-			resp = postJSON(t, ts.URL+tc.path, tc.body)
-		} else if resp, err = http.Get(ts.URL + tc.path); err != nil {
-			t.Fatal(err)
+			resp := postJSON(t, ts.URL+tc.path, tc.body)
+			resp.Body.Close()
+			code = resp.StatusCode
+		} else {
+			code, _ = getBody(t, ts.URL+tc.path)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.want {
-			t.Errorf("%s: status = %d, want %d", name, resp.StatusCode, tc.want)
+		if code != tc.want {
+			t.Errorf("%s: status = %d, want %d", name, code, tc.want)
 		}
+	}
+	if n := len(srv.coord.Campaigns()); n != 0 {
+		t.Fatalf("rejected requests created %d campaigns", n)
 	}
 }
 
 func TestHealthz(t *testing.T) {
-	ts, _ := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d", resp.StatusCode)
+	ts, _, _ := newTestServer(t, 0)
+	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz = %d", code)
 	}
 }
 
@@ -246,77 +228,26 @@ func TestHealthz(t *testing.T) {
 // must expose the pprof index and heap profile for live host-side
 // performance debugging.
 func TestPprofEndpoints(t *testing.T) {
-	ts, _ := newTestServer(t)
+	ts, _, _ := newTestServer(t, 0)
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s = %d, want 200", path, resp.StatusCode)
+		if code, _ := getBody(t, ts.URL+path); code != http.StatusOK {
+			t.Errorf("%s = %d, want 200", path, code)
 		}
 	}
 }
 
-func itoa(n int) string { return strconv.Itoa(n) }
-
-// newFabricTestServer is newTestServer plus a coordinator in local-
-// fallback mode (no workers registered → cells run on the chexd pool).
-func newFabricTestServer(t *testing.T, maxQueue int) (*httptest.Server, *server) {
-	t.Helper()
-	cache, err := campaign.OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := campaign.NewPool(campaign.Options{
-		Workers: 2,
-		Cache:   cache,
-		Clock:   func() int64 { return time.Now().UnixNano() },
-	})
-	t.Cleanup(pool.Close)
-	srv := &server{pool: pool, cache: cache, defScale: 0.1, defMaxInsts: 2000}
-	srv.coord = fabric.NewCoordinator(fabric.CoordinatorOptions{
-		Clock:    wallClock{},
-		MaxQueue: maxQueue,
-		Cache:    cache,
-		Local:    pool,
-	})
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
-	return ts, srv
-}
-
-// TestFabricCampaignLocalFallback: with zero workers registered, a fabric
+// TestFabricCampaignLocalFallback: with zero workers registered, a fault
 // campaign degrades to coordinator-local execution and still completes,
 // with the merged fault report served byte-for-byte.
 func TestFabricCampaignLocalFallback(t *testing.T) {
-	ts, _ := newFabricTestServer(t, 0)
+	ts, _, _ := newTestServer(t, 0)
 
-	body := `{"fault":{"seed":5,"workloads":["mcf"],"variants":["prediction"],` +
-		`"faultsPerRun":5,"maxInsts":4000,"sites":["cap-table","cap-cache"]}}`
-	resp := postJSON(t, ts.URL+"/api/v1/fabric/campaign", body)
-	var fr fabricCampaignResponse
-	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
+	fr := submitCampaign(t, ts, `{"fault":{"seed":5,"workloads":["mcf"],"variants":["prediction"],`+
+		`"faultsPerRun":5,"maxInsts":4000,"sites":["cap-table","cap-cache"]}}`)
 	if fr.Cells != 2 {
 		t.Fatalf("cells = %d, want workloads × variants × sites = 2", fr.Cells)
 	}
-
-	get, err := http.Get(ts.URL + "/api/v1/fabric/campaigns/" + strconv.Itoa(fr.ID) + "?wait=1&detail=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done fabricCampaignResponse
-	if err := json.NewDecoder(get.Body).Decode(&done); err != nil {
-		t.Fatal(err)
-	}
-	get.Body.Close()
+	done := waitCampaign(t, ts, fr.ID)
 	if done.State != fabric.CampaignDone || !done.Local {
 		t.Fatalf("campaign = %+v, want done via local degradation", done.CampaignStatus)
 	}
@@ -330,38 +261,23 @@ func TestFabricCampaignLocalFallback(t *testing.T) {
 	}
 
 	// The report endpoint serves the merged report's canonical bytes.
-	rget, err := http.Get(ts.URL + "/api/v1/fabric/campaigns/" + strconv.Itoa(fr.ID) + "/report")
+	code, body := getBody(t, ts.URL+"/api/v1/fabric/campaigns/"+strconv.Itoa(fr.ID)+"/report")
+	if code != http.StatusOK {
+		t.Fatalf("report status = %d", code)
+	}
+	want, err := done.Report.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rget.Body.Close()
-	if rget.StatusCode != http.StatusOK {
-		t.Fatalf("report status = %d", rget.StatusCode)
-	}
-	var rep struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.NewDecoder(rget.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema == "" {
-		t.Fatal("report body has no schema field")
+	if string(body) != string(want) {
+		t.Fatalf("report endpoint bytes differ from the merged report")
 	}
 
-	// Fabric metrics joined the exposition endpoint without displacing the
-	// pool's (the CI smoke greps campaign_cache_hits).
-	mget, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mget.Body.Close()
-	var metrics strings.Builder
-	if _, err := io.Copy(&metrics, mget.Body); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"campaign_cache_hits ", "fabric_campaigns_done 1", "fabric_cells_local 2"} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Fatalf("/metrics missing %q:\n%s", want, metrics.String())
+	// Pool and fabric counters share the exposition endpoint.
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{"campaign_runs_started 2\n", "fabric_campaigns_done 1\n", "fabric_cells_local 2\n"} {
+		if !strings.Contains(string(metrics), want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
 }
@@ -369,18 +285,14 @@ func TestFabricCampaignLocalFallback(t *testing.T) {
 // TestFabricBackpressure: admission control surfaces ErrQueueFull as
 // HTTP 429 with a Retry-After hint.
 func TestFabricBackpressure(t *testing.T) {
-	ts, srv := newFabricTestServer(t, 1)
+	ts, srv, _ := newTestServer(t, 1)
 	// A registered (fake) worker keeps the local-fallback rung off so the
 	// queue actually fills.
 	if _, err := srv.coord.Register(context.Background(), fabric.WorkerInfo{ID: "w1"}); err != nil {
 		t.Fatal(err)
 	}
 
-	ok := postJSON(t, ts.URL+"/api/v1/fabric/campaign", `{"workloads":["mcf"]}`)
-	ok.Body.Close()
-	if ok.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit status = %d", ok.StatusCode)
-	}
+	submitCampaign(t, ts, `{"workloads":["mcf"]}`)
 	full := postJSON(t, ts.URL+"/api/v1/fabric/campaign", `{"workloads":["xalancbmk"]}`)
 	defer full.Body.Close()
 	if full.StatusCode != http.StatusTooManyRequests {
@@ -400,76 +312,18 @@ func TestFabricBackpressure(t *testing.T) {
 
 // TestFabricWorkersEndpoint lists registered workers.
 func TestFabricWorkersEndpoint(t *testing.T) {
-	ts, srv := newFabricTestServer(t, 0)
+	ts, srv, _ := newTestServer(t, 0)
 	if _, err := srv.coord.Register(context.Background(), fabric.WorkerInfo{ID: "node-a", Addr: "10.0.0.2"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get(ts.URL + "/api/v1/fabric/workers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	_, body := getBody(t, ts.URL+"/api/v1/fabric/workers")
 	var out struct {
 		Workers []fabric.WorkerStatus `json:"workers"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out.Workers) != 1 || out.Workers[0].ID != "node-a" {
 		t.Fatalf("workers = %+v", out.Workers)
 	}
-}
-
-// TestSubmitLockstepJob: a lockstep sweep shard rides the same job API as
-// bench and fault cells, and its counters surface on /metrics.
-func TestSubmitLockstepJob(t *testing.T) {
-	ts, _ := newTestServer(t)
-
-	resp := postJSON(t, ts.URL+"/api/v1/jobs",
-		`{"mode":"lockstep","lockstep":{"seed":5,"programs":2,"crosscheckEvery":-1}}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d", resp.StatusCode)
-	}
-	jr := decodeJob(t, resp)
-	if jr.Mode != campaign.ModeLockstep {
-		t.Fatalf("job mode = %s", jr.Mode)
-	}
-
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + strconv.Itoa(jr.ID) + "?wait=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := decodeJob(t, resp)
-	if done.State != campaign.JobDone {
-		t.Fatalf("state after wait = %s (%s)", done.State, done.Error)
-	}
-	if done.Result == nil || done.Result.Lockstep == nil {
-		t.Fatalf("no lockstep report attached: %+v", done)
-	}
-	if done.Result.Lockstep.Failed() {
-		t.Fatalf("sweep failed:\n%s", done.Result.Lockstep.JSON())
-	}
-	if done.Result.Lockstep.Programs != 2 {
-		t.Fatalf("programs = %d, want 2", done.Result.Lockstep.Programs)
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	body, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "lockstep_programs_total") {
-		t.Fatalf("/metrics missing lockstep counters:\n%s", body)
-	}
-
-	// Missing spec body is a client error, not a pool submission.
-	resp = postJSON(t, ts.URL+"/api/v1/jobs", `{"mode":"lockstep"}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing lockstep spec: status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
 }

@@ -13,23 +13,20 @@
 //	chexfault -seed 42
 //	chexfault -workloads mcf,xalancbmk -variants always-on,prediction -faults 15
 //	chexfault -sites cap-table,ctx-switch -o report.json
-//	chexfault -pool -cache-dir .chexcampaign   # sharded + memoized cells
 //
-// With -pool, the campaign's workload × variant × site cells run
-// concurrently on the campaign worker pool and are memoized in the
-// content-addressed result cache; per-run RNG seeds derive from the run's
-// coordinates, never execution order, so the merged report is
-// byte-identical to the sequential one.
+// Per-run RNG seeds derive from the run's coordinates, never execution
+// order, so the same campaign submitted to chexd's fabric
+// (POST /api/v1/fabric/campaign with a "fault" config) merges its
+// workload × variant × site cells into a report byte-identical to this
+// one.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"chex86/internal/campaign"
 	"chex86/internal/faultinject"
 )
 
@@ -44,9 +41,6 @@ func main() {
 	maxCycles := flag.Uint64("max-cycles", 5000000, "watchdog cycle budget per run")
 	out := flag.String("o", "", "write the JSON report to this file (default: stdout)")
 	quiet := flag.Bool("q", false, "suppress the summary line on stderr")
-	pool := flag.Bool("pool", false, "run campaign cells concurrently on the sharded campaign worker pool")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory for -pool (empty disables caching)")
-	workers := flag.Int("workers", 0, "pool shards for -pool (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	cfg := faultinject.Config{
@@ -62,13 +56,7 @@ func main() {
 		cfg.Sites = append(cfg.Sites, faultinject.Site(s))
 	}
 
-	run := faultinject.Run
-	if *pool {
-		run = func(cfg faultinject.Config) (*faultinject.Report, error) {
-			return runPooled(cfg, *cacheDir, *workers)
-		}
-	}
-	rep, err := run(cfg)
+	rep, err := faultinject.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chexfault:", err)
 		os.Exit(2)
@@ -94,45 +82,6 @@ func main() {
 	if !rep.Pass {
 		os.Exit(1)
 	}
-}
-
-// runPooled shards the campaign into cells, executes them on the campaign
-// worker pool (memoized when a cache directory is given), and merges the
-// per-cell reports back into the sequential report's byte-identical form.
-func runPooled(cfg faultinject.Config, cacheDir string, workers int) (*faultinject.Report, error) {
-	var cache *campaign.Cache
-	if cacheDir != "" {
-		var err error
-		if cache, err = campaign.OpenCache(cacheDir); err != nil {
-			return nil, err
-		}
-	}
-	opts := campaign.Options{Workers: workers}
-	if cache != nil {
-		// Assign only when present: a typed-nil *Cache in the interface
-		// field would read as "cache configured".
-		opts.Cache = cache
-	}
-	p := campaign.NewPool(opts)
-	defer p.Close()
-
-	var jobs []*campaign.Job
-	for _, cell := range cfg.Cells() {
-		j, err := p.Submit(campaign.FaultSpec(cell))
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, j)
-	}
-	var cells []*faultinject.Report
-	for _, j := range jobs {
-		res, err := j.Wait(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("cell %s: %w", j.Status().Workload, err)
-		}
-		cells = append(cells, res.Fault)
-	}
-	return faultinject.Merge(cfg, cells), nil
 }
 
 func passFail(ok bool) string {

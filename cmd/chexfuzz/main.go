@@ -30,7 +30,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"chex86/internal/lockstep"
 )
@@ -77,13 +76,7 @@ func main() {
 		}
 	}
 
-	opt := lockstep.SweepOptions{
-		Metrics:     lockstep.SharedMetrics,
-		MaxFailures: *maxFailures,
-	}
-	// The shrink-duration counter wants wall time; the clock is injected
-	// here so internal/lockstep stays on the zero-waiver determinism gate.
-	lockstep.SharedMetrics.SetClock(func() int64 { return time.Now().UnixNano() }) //determinism:ok — CLI-level wall-time probe
+	opt := lockstep.SweepOptions{MaxFailures: *maxFailures}
 	if *verbose {
 		opt.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "chexfuzz: "+format+"\n", args...)
@@ -132,8 +125,8 @@ func main() {
 }
 
 // applyShard rewrites the spec's program range to the i-th of n equal
-// index shards (1-based "i/n"), the same split campaign.LockstepShards
-// hands to the fabric. Parsing is strict — trailing junk, signs baked
+// index shards (1-based "i/n"); the first programs%n shards take one
+// program more. Parsing is strict — trailing junk, signs baked
 // into garbage, zero or negative components and out-of-range indices all
 // fail loudly, and a shard that would receive zero programs is an error
 // rather than a silent switch into open-ended budget mode.

@@ -44,7 +44,6 @@ func main() {
 	coordURL := flag.String("coordinator", "http://127.0.0.1:8086", "coordinator base URL")
 	id := flag.String("id", "", "worker identity (default: host:pid)")
 	cacheDir := flag.String("cache-dir", "", "local result cache directory (empty disables the local tier)")
-	workers := flag.Int("workers", 0, "pool shards for cell execution (0 = GOMAXPROCS)")
 	concurrency := flag.Int("concurrency", 1, "cells to lease and execute in parallel")
 	poll := flag.Duration("poll", 500*time.Millisecond, "idle sleep between lease attempts")
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "peer cache fetch timeout before falling back to recompute")
@@ -70,11 +69,12 @@ func main() {
 	client := fabric.NewClient(*coordURL, nil)
 	tiered := fabric.NewTieredCache(local, client, wallClock{}, *peerTimeout)
 
-	pool := campaign.NewPool(campaign.Options{
-		Workers: *workers,
-		Cache:   tiered,
-		Clock:   func() int64 { return time.Now().UnixNano() }, //determinism:ok — service-level wall-time probe
-	})
+	// Each of the -concurrency lease loops submits one cell and waits for
+	// it, so the pool never holds more cells than that.
+	if *concurrency < 1 {
+		*concurrency = 1
+	}
+	pool := campaign.NewPool(campaign.Options{Workers: *concurrency, Cache: tiered})
 	defer pool.Close()
 
 	w, err := fabric.NewWorker(fabric.WorkerOptions{

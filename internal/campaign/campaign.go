@@ -1,31 +1,29 @@
 // Package campaign is the shared execution substrate for the paper's
-// evaluation sweeps: it turns any (workload, SimConfig, mode) tuple into a
-// schedulable Job, executes jobs on a sharded worker pool sized to
-// GOMAXPROCS with per-job panic isolation, retry-with-backoff for
-// transient simulator errors, and context cancellation — and memoizes
-// completed results in a content-addressed cache keyed by a stable hash of
-// (workload program bytes, machine configuration, rule-database export),
-// so repeated sweeps over unchanged configurations are near-free.
+// evaluation sweeps: it turns a (workload, SimConfig, mode) tuple into a
+// schedulable Job, executes jobs on a worker pool sized to GOMAXPROCS with
+// per-job panic isolation and context cancellation, and memoizes completed
+// results in a content-addressed cache keyed by a stable hash of (workload
+// program bytes, machine configuration, rule-database export), so
+// repeated sweeps over unchanged configurations are near-free.
 //
 // The paper's evaluation (Section VII) is a large campaign of independent
 // simulations: 14 workloads × protection variants × Table-III/IV parameter
-// sweeps. chexbench -campaign, chexfault -pool, and the chexd HTTP service
-// all route through this package instead of looping one goroutine over the
-// catalog.
+// sweeps. Campaigns enter through chexd's fabric coordinator
+// (internal/fabric), which runs each cell on a chexworker's pool or, with
+// no workers registered, on its own; both pools are this package's.
 //
 // Determinism contract: everything this package serializes — Spec, Result,
 // cache entries — is byte-stable (struct fields in declaration order, no
 // map iteration feeding a writer, no wall-clock reads). The chexvet
-// determinism linter gates the package with zero waivers; wall-time
-// measurement is injected by the CLIs through Options.Clock and lives in
-// the runtime Job record, never in the cached payload.
+// determinism gate holds the package to that with zero waivers; wall-time
+// measurement is injected through Options.Clock and lives in the runtime
+// Job record, never in the cached payload.
 package campaign
 
 import (
 	"fmt"
 
 	"chex86/internal/faultinject"
-	"chex86/internal/lockstep"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
 )
@@ -40,16 +38,10 @@ const (
 	// ModeFault runs one fault-injection campaign cell (workload × variant
 	// × site) and records its resilience report.
 	ModeFault Mode = "fault"
-	// ModeLockstep runs one lockstep differential-fuzzing sweep shard
-	// (internal/lockstep): generated programs diffed against the reference
-	// emulator across the condition matrix, with invariant audits.
-	ModeLockstep Mode = "lockstep"
 )
 
-// Spec is the content of a job: what to simulate. Everything that changes
-// the simulation outcome is part of the cache key; Timeout is the one
-// exception (a wall-clock bound changes whether a run finishes, never what
-// a finished run produced, and only finished runs are cached).
+// Spec is the content of a job: what to simulate. Every field that changes
+// the simulation outcome is part of the cache key (see Key).
 type Spec struct {
 	Mode Mode `json:"mode"`
 
@@ -62,15 +54,6 @@ type Spec struct {
 
 	// Fault mode: one campaign cell (see faultinject.Config.Cells).
 	Fault *faultinject.Config `json:"fault,omitempty"`
-
-	// Lockstep mode: one differential-fuzzing sweep shard. The spec is
-	// fully deterministic (per-program seeds derive from Seed and the
-	// global program index), so shards cache and merge like any cell.
-	Lockstep *lockstep.SweepSpec `json:"lockstep,omitempty"`
-
-	// TimeoutMS bounds the run in host milliseconds (0 = none). Excluded
-	// from the cache key.
-	TimeoutMS int64 `json:"timeoutMS,omitempty"`
 }
 
 // BenchSpec builds a bench-mode spec for one workload under one config.
@@ -92,42 +75,6 @@ func FaultSpec(cell faultinject.Config) Spec {
 	return Spec{Mode: ModeFault, Fault: &c}
 }
 
-// LockstepSpec builds a lockstep-mode spec for one sweep shard.
-func LockstepSpec(sweep lockstep.SweepSpec) Spec {
-	s := sweep.Normalized()
-	return Spec{Mode: ModeLockstep, Lockstep: &s}
-}
-
-// LockstepShards splits a sweep into n index-range shards that together
-// reproduce exactly the sequential sweep's programs (per-program seeds
-// are functions of the global index) — the unit the fabric distributes.
-func LockstepShards(sweep lockstep.SweepSpec, n int) []Spec {
-	sweep = sweep.Normalized()
-	if n <= 1 || sweep.Programs <= 1 {
-		return []Spec{LockstepSpec(sweep)}
-	}
-	if n > sweep.Programs {
-		n = sweep.Programs
-	}
-	out := make([]Spec, 0, n)
-	per := sweep.Programs / n
-	extra := sweep.Programs % n
-	next := sweep.FirstProgram
-	for i := 0; i < n; i++ {
-		shard := sweep
-		shard.FirstProgram = next
-		shard.Programs = per
-		if i < extra {
-			shard.Programs++
-		}
-		next += shard.Programs
-		if shard.Programs > 0 {
-			out = append(out, LockstepSpec(shard))
-		}
-	}
-	return out
-}
-
 // validate rejects specs the executors could not run.
 func (s *Spec) validate() error {
 	switch s.Mode {
@@ -141,13 +88,6 @@ func (s *Spec) validate() error {
 	case ModeFault:
 		if s.Fault == nil {
 			return fmt.Errorf("campaign: fault spec needs a fault config")
-		}
-	case ModeLockstep:
-		if s.Lockstep == nil {
-			return fmt.Errorf("campaign: lockstep spec needs a sweep spec")
-		}
-		if err := s.Lockstep.Validate(); err != nil {
-			return err
 		}
 	default:
 		return fmt.Errorf("campaign: unknown mode %q", s.Mode)
@@ -172,9 +112,9 @@ func (s *Spec) scale() float64 {
 }
 
 // Result is a job's cached payload: the deterministic outcome of the
-// simulation, and nothing else. Runtime facts — wall time, attempt count,
-// whether the result came from the cache — live on the Job, because two
-// executions of the same Spec must produce byte-identical Results for the
+// simulation, and nothing else. Runtime facts — wall time, whether the
+// result came from the cache — live on the Job, because two executions of
+// the same Spec must produce byte-identical Results for the
 // content-addressed cache to be sound.
 type Result struct {
 	Schema   string `json:"schema"` // "chex-campaign-result/v1"
@@ -182,9 +122,8 @@ type Result struct {
 	Workload string `json:"workload,omitempty"`
 	Variant  string `json:"variant,omitempty"`
 
-	Bench    *BenchResult          `json:"bench,omitempty"`
-	Fault    *faultinject.Report   `json:"fault,omitempty"`
-	Lockstep *lockstep.SweepReport `json:"lockstep,omitempty"`
+	Bench *BenchResult        `json:"bench,omitempty"`
+	Fault *faultinject.Report `json:"fault,omitempty"`
 }
 
 // ResultSchema versions the cached-result payload.
@@ -233,17 +172,4 @@ func benchResult(r *pipeline.Result) *BenchResult {
 		b.IPC = float64(r.MacroInsts) / float64(r.Cycles)
 	}
 	return b
-}
-
-// variantName names a spec's protection variant for reports.
-func (s *Spec) variantName() string {
-	switch s.Mode {
-	case ModeBench:
-		return s.config().Variant.ShortName()
-	case ModeFault:
-		if len(s.Fault.Variants) == 1 {
-			return s.Fault.Variants[0]
-		}
-	}
-	return ""
 }

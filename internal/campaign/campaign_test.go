@@ -102,20 +102,6 @@ func TestKeyTracksElisionConfig(t *testing.T) {
 	}
 }
 
-func TestKeyIgnoresTimeout(t *testing.T) {
-	s1 := BenchSpec("mcf", pipeline.DefaultConfig(), 0.25, 20000, 0)
-	s2 := s1
-	s2.TimeoutMS = 5000
-	k1, _ := s1.Key()
-	k2, err := s2.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatal("wall-clock timeout must not change the content address")
-	}
-}
-
 // TestKeyIgnoresHostReplayKnobs pins that host-side replay knobs —
 // today the μop cache switch, which cannot change result bytes — never
 // reach the content address: toggling one must not invalidate cached

@@ -6,7 +6,6 @@ import (
 
 	"chex86/internal/experiments"
 	"chex86/internal/faultinject"
-	"chex86/internal/lockstep"
 	"chex86/internal/workload"
 )
 
@@ -20,8 +19,6 @@ func Execute(ctx context.Context, spec *Spec) (*Result, error) {
 		return execBench(ctx, spec)
 	case ModeFault:
 		return execFault(ctx, spec)
-	case ModeLockstep:
-		return execLockstep(ctx, spec)
 	}
 	return nil, fmt.Errorf("campaign: unknown mode %q", spec.Mode)
 }
@@ -63,37 +60,12 @@ func execFault(ctx context.Context, spec *Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Result{
-		Schema:  ResultSchema,
-		Mode:    ModeFault,
-		Variant: spec.variantName(),
-		Fault:   rep,
-	}
+	r := &Result{Schema: ResultSchema, Mode: ModeFault, Fault: rep}
 	if len(spec.Fault.Workloads) == 1 {
 		r.Workload = spec.Fault.Workloads[0]
 	}
+	if len(spec.Fault.Variants) == 1 {
+		r.Variant = spec.Fault.Variants[0]
+	}
 	return r, nil
-}
-
-// execLockstep runs one differential-fuzzing sweep shard. The report is a
-// pure function of the spec (per-program seeds derive from the sweep seed
-// and the global program index), so shards cache, shard, and merge like
-// any other cell; interrupted sweeps propagate the context error and are
-// never cached. Counters land on the process-wide lockstep metrics that
-// chexd exposes on /metrics.
-func execLockstep(ctx context.Context, spec *Spec) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rep, err := lockstep.Sweep(ctx, *spec.Lockstep, lockstep.SweepOptions{
-		Metrics: lockstep.SharedMetrics,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Schema:   ResultSchema,
-		Mode:     ModeLockstep,
-		Lockstep: rep,
-	}, nil
 }

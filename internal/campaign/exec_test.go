@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"chex86/internal/faultinject"
-	"chex86/internal/lockstep"
 	"chex86/internal/pipeline"
 )
 
@@ -145,78 +144,5 @@ func TestBenchMatchesSequentialHarness(t *testing.T) {
 	}
 	if *r1.Bench != *r2.Bench {
 		t.Fatalf("pooled result diverged from direct execution:\n%+v\n%+v", r1.Bench, r2.Bench)
-	}
-}
-
-// TestLockstepShardsMatchSequential: lockstep sweep shards executed
-// through the pool must together reproduce the sequential sweep's
-// accounting, and an identical shard resubmitted against the cache must
-// be a pure hit with a byte-identical report.
-func TestLockstepShardsMatchSequential(t *testing.T) {
-	sweep := lockstep.SweepSpec{Seed: 11, Programs: 4, CrosscheckEvery: -1}
-	whole, err := lockstep.Sweep(context.Background(), sweep, lockstep.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(Options{Workers: 2, Cache: cache})
-	defer pool.Close()
-	shards := LockstepShards(sweep, 2)
-	if len(shards) != 2 {
-		t.Fatalf("expected 2 shards, got %d", len(shards))
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	var commits uint64
-	var programs, mutated, detected int
-	for _, spec := range shards {
-		j, err := pool.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := j.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Lockstep == nil {
-			t.Fatal("lockstep job returned no sweep report")
-		}
-		if res.Lockstep.Failed() {
-			t.Fatalf("shard failed:\n%s", res.Lockstep.JSON())
-		}
-		commits += res.Lockstep.Commits
-		programs += res.Lockstep.Programs
-		mutated += res.Lockstep.Mutated
-		detected += res.Lockstep.Detected
-	}
-	if commits != whole.Commits || programs != whole.Programs ||
-		mutated != whole.Mutated || detected != whole.Detected {
-		t.Fatalf("shards(commits=%d programs=%d mutated=%d detected=%d) != whole(commits=%d programs=%d mutated=%d detected=%d)",
-			commits, programs, mutated, detected,
-			whole.Commits, whole.Programs, whole.Mutated, whole.Detected)
-	}
-
-	// Resubmitting the first shard must hit the cache byte for byte.
-	j1, err := pool.Submit(shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := j1.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !j1.Cached() {
-		t.Fatal("identical lockstep shard was not served from the cache")
-	}
-	direct, err := lockstep.Sweep(context.Background(), *shards[0].Lockstep, lockstep.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(r1.Lockstep.JSON(), direct.JSON()) {
-		t.Fatalf("cached lockstep report diverged:\n%s\nvs\n%s", r1.Lockstep.JSON(), direct.JSON())
 	}
 }

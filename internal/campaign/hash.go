@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"chex86/internal/faultinject"
-	"chex86/internal/lockstep"
 	"chex86/internal/tracker"
 	"chex86/internal/workload"
 )
@@ -20,7 +19,7 @@ import (
 //   - "spec": the key-relevant spec fields in canonical JSON — mode,
 //     workload name, scale, instruction/cycle budgets, and the fully
 //     resolved machine configuration (bench) or normalized fault campaign
-//     configuration (fault). TimeoutMS is deliberately excluded.
+//     configuration (fault).
 //   - "workload": the deterministic object-file bytes of every program the
 //     job simulates, at the job's scale. A catalog edit changes the bytes
 //     and therefore the key.
@@ -76,11 +75,6 @@ func (s *Spec) canonicalSpec() ([]byte, error) {
 			Mode  Mode               `json:"mode"`
 			Fault faultinject.Config `json:"fault"`
 		}{s.Mode, s.Fault.Normalized()})
-	case ModeLockstep:
-		return json.Marshal(struct {
-			Mode     Mode               `json:"mode"`
-			Lockstep lockstep.SweepSpec `json:"lockstep"`
-		}{s.Mode, s.Lockstep.Normalized()})
 	}
 	return nil, fmt.Errorf("campaign: unknown mode %q", s.Mode)
 }
@@ -110,11 +104,6 @@ func (s *Spec) programBytes() ([][]byte, error) {
 			out = append(out, b)
 		}
 		return out, nil
-	case ModeLockstep:
-		// Lockstep programs are generated, not cataloged: every guest
-		// program derives from the sweep seed already hashed in the spec
-		// section, so there are no workload bytes to fold in.
-		return nil, nil
 	}
 	return nil, fmt.Errorf("campaign: unknown mode %q", s.Mode)
 }

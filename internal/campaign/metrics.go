@@ -14,10 +14,9 @@ type Metrics struct {
 	Deduped     atomic.Int64 // submissions coalesced onto an in-flight job
 	CacheHits   atomic.Int64 // submissions satisfied from the result cache
 	CacheMisses atomic.Int64 // submissions that had to simulate
-	Started     atomic.Int64 // executions begun (retries count again)
+	Started     atomic.Int64 // executions begun
 	Completed   atomic.Int64 // jobs finished successfully
 	Failed      atomic.Int64 // jobs finished in error
-	Retried     atomic.Int64 // transient-error retries
 	Panics      atomic.Int64 // executor panics caught by the isolation guard
 }
 
@@ -30,7 +29,6 @@ type MetricsSnapshot struct {
 	Started     int64 `json:"started"`
 	Completed   int64 `json:"completed"`
 	Failed      int64 `json:"failed"`
-	Retried     int64 `json:"retried"`
 	Panics      int64 `json:"panics"`
 }
 
@@ -44,7 +42,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		Started:     m.Started.Load(),
 		Completed:   m.Completed.Load(),
 		Failed:      m.Failed.Load(),
-		Retried:     m.Retried.Load(),
 		Panics:      m.Panics.Load(),
 	}
 }
@@ -63,7 +60,6 @@ func (s MetricsSnapshot) Render() string {
 	row("runs_started", s.Started)
 	row("jobs_completed", s.Completed)
 	row("jobs_failed", s.Failed)
-	row("runs_retried", s.Retried)
 	row("panics_caught", s.Panics)
 	return b.String()
 }

@@ -177,70 +177,45 @@ func TestPanicIsolation(t *testing.T) {
 	if pool.Metrics().Panics.Load() != 1 {
 		t.Fatalf("panic not counted")
 	}
-	if bad.Status().State != JobFailed {
-		t.Fatalf("panicked job state = %s, want failed", bad.Status().State)
+	if m := pool.Metrics().Snapshot(); m.Failed != 1 || m.Completed != 1 {
+		t.Fatalf("metrics: failed=%d completed=%d, want 1/1", m.Failed, m.Completed)
 	}
 }
 
-func TestRetryTransientErrors(t *testing.T) {
-	var attempts atomic.Int64
-	pool := NewPool(Options{
-		Workers: 1,
-		Retries: 2,
-		Backoff: time.Millisecond,
-		Exec: func(ctx context.Context, spec *Spec) (*Result, error) {
-			if attempts.Add(1) < 3 {
-				return nil, &pipeline.SimError{Kind: pipeline.ErrDeadline, Msg: "synthetic deadline"}
-			}
-			return fakeResult(spec.Workload), nil
-		},
-	})
-	defer pool.Close()
-
-	j, err := pool.Submit(testSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := j.Wait(ctx); err != nil {
-		t.Fatalf("transient failures not retried to success: %v", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("executions = %d, want 3 (1 + 2 retries)", got)
-	}
-	if pool.Metrics().Retried.Load() != 2 {
-		t.Fatalf("retries = %d, want 2", pool.Metrics().Retried.Load())
-	}
-	if st := j.Status(); st.Attempts != 3 {
-		t.Fatalf("job attempts = %d, want 3", st.Attempts)
-	}
-}
-
+// TestPermanentErrorsNotRetried: a failing run fails its job after one
+// execution. Nothing is retried: a deterministic failure would fail the
+// same way again, and the pool sets no per-job deadline, so no failure is
+// transient.
 func TestPermanentErrorsNotRetried(t *testing.T) {
 	var attempts atomic.Int64
 	pool := NewPool(Options{
 		Workers: 1,
-		Retries: 3,
-		Backoff: time.Millisecond,
 		Exec: func(ctx context.Context, spec *Spec) (*Result, error) {
 			attempts.Add(1)
-			return nil, &pipeline.SimError{Kind: pipeline.ErrCycleLimit, Msg: "livelock"}
+			if spec.MaxInsts == 1001 {
+				return nil, &pipeline.SimError{Kind: pipeline.ErrCycleLimit, Msg: "livelock"}
+			}
+			return nil, &pipeline.SimError{Kind: pipeline.ErrDeadline, Msg: "deadline"}
 		},
 	})
 	defer pool.Close()
 
-	j, err := pool.Submit(testSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := j.Wait(ctx); err == nil {
-		t.Fatal("deterministic failure reported success")
+	for _, n := range []uint64{1, 2} {
+		j, err := pool.Submit(testSpec(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(ctx); err == nil {
+			t.Fatalf("spec %d: failing run reported success", n)
+		}
 	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("deterministic failure executed %d times, want 1", got)
+	if got := attempts.Load(); got != 2 {
+		t.Fatalf("two failing jobs executed %d times, want 2", got)
+	}
+	if m := pool.Metrics().Snapshot(); m.Started != 2 || m.Failed != 2 {
+		t.Fatalf("metrics: started=%d failed=%d, want 2/2", m.Started, m.Failed)
 	}
 }
 
@@ -333,68 +308,3 @@ func TestPoolParallelism(t *testing.T) {
 		}
 	}
 }
-
-func TestJobLookup(t *testing.T) {
-	pool := NewPool(Options{Workers: 1, Exec: func(ctx context.Context, spec *Spec) (*Result, error) {
-		return fakeResult(spec.Workload), nil
-	}})
-	defer pool.Close()
-	j, err := pool.Submit(testSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Job(j.ID) != j {
-		t.Fatal("Job(id) did not return the submitted job")
-	}
-	if pool.Job(0) != nil || pool.Job(99) != nil {
-		t.Fatal("out-of-range lookup returned a job")
-	}
-	if got := len(pool.Jobs()); got != 1 {
-		t.Fatalf("Jobs() = %d entries, want 1", got)
-	}
-}
-
-func TestFormatReportDistinguishesCacheHits(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var now atomic.Int64
-	pool := NewPool(Options{
-		Workers: 2,
-		Cache:   cache,
-		Clock:   func() int64 { return now.Add(1e6) }, // 1ms per probe
-		Exec: func(ctx context.Context, spec *Spec) (*Result, error) {
-			return fakeResult(spec.Workload), nil
-		},
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	j1, err := pool.Submit(testSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j1.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := pool.Submit(testSpec(1)) // identical: cache hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j2.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	rep := FormatReport(pool.Jobs())
-	pool.Close()
-	if !contains(rep, "cache") || !contains(rep, "run") {
-		t.Fatalf("report does not distinguish cache hits from runs:\n%s", rep)
-	}
-	if !contains(rep, "1 cache hits") || !contains(rep, "1 simulated") {
-		t.Fatalf("report summary wrong:\n%s", rep)
-	}
-	if !contains(rep, "Kinst/s") || !contains(rep, "wall(s)") {
-		t.Fatalf("report missing wall-time/IPS columns:\n%s", rep)
-	}
-}
-
-func contains(s, sub string) bool { return strings.Contains(s, sub) }

@@ -7,102 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
-
-	"chex86/internal/pipeline"
 )
-
-// TestRetryDelayDeterministicAndCapped: retry sleeps are a pure function
-// of (seed, key, attempt) — reproducible, jittered into [base/2, base],
-// and capped at MaxBackoff no matter how long the retry chain runs.
-func TestRetryDelayDeterministicAndCapped(t *testing.T) {
-	o := Options{Backoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond, JitterSeed: 7}
-	o.setDefaults()
-
-	for attempt := 0; attempt < 10; attempt++ {
-		base := o.Backoff << attempt
-		if base > o.MaxBackoff {
-			base = o.MaxBackoff
-		}
-		d := o.retryDelay("key-a", attempt)
-		if d != o.retryDelay("key-a", attempt) {
-			t.Fatalf("attempt %d: same inputs produced different delays", attempt)
-		}
-		if d < base/2 || d > base {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, base/2, base)
-		}
-	}
-
-	// Different keys desynchronize: a fleet of jobs failing together must
-	// not retry in lockstep.
-	keys := []string{"key-a", "key-b", "key-c", "key-d"}
-	distinct := make(map[time.Duration]bool)
-	for _, k := range keys {
-		distinct[o.retryDelay(k, 1)] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatalf("all %d keys drew the same jitter %v — no decorrelation", len(keys), keys[0])
-	}
-
-	// A different seed moves the whole schedule.
-	o2 := o
-	o2.JitterSeed = 8
-	same := 0
-	for _, k := range keys {
-		if o.retryDelay(k, 1) == o2.retryDelay(k, 1) {
-			same++
-		}
-	}
-	if same == len(keys) {
-		t.Fatal("changing JitterSeed left every delay unchanged")
-	}
-}
-
-// TestCloseCancelsRetrySleep: a job parked in its retry backoff must not
-// hold Close hostage for the backoff duration — cancellation preempts the
-// sleep and the job fails with a canceled SimError that still wraps the
-// transient cause.
-func TestCloseCancelsRetrySleep(t *testing.T) {
-	firstFailure := make(chan struct{})
-	var attempts atomic.Int64
-	pool := NewPool(Options{
-		Workers: 1,
-		Retries: 3,
-		Backoff: time.Hour, // deliberately absurd: only cancellation can end the sleep
-		Exec: func(_ context.Context, _ *Spec) (*Result, error) {
-			if attempts.Add(1) == 1 {
-				defer close(firstFailure)
-			}
-			return nil, &pipeline.SimError{Kind: pipeline.ErrDeadline, Msg: "synthetic deadline"}
-		},
-	})
-
-	j, err := pool.Submit(testSpec(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-firstFailure // the job is failing transiently and about to sleep
-
-	done := make(chan struct{})
-	go func() {
-		pool.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Close blocked on a retry sleep")
-	}
-
-	_, jerr := j.Result()
-	var se *pipeline.SimError
-	if !errors.As(jerr, &se) || se.Kind != pipeline.ErrCanceled {
-		t.Fatalf("job error = %v, want canceled SimError", jerr)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("executions = %d, want 1 (retry preempted)", got)
-	}
-}
 
 // TestSingleflightErrorPropagation: when the one shared execution fails,
 // every submitter that coalesced onto it must observe that same error —

@@ -157,11 +157,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeFabricJSON(w, http.StatusOK, res)
 	})
-	mux.HandleFunc("GET /fabric/v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		writeFabricJSON(w, http.StatusOK, struct {
-			Workers []WorkerStatus `json:"workers"`
-		}{c.Workers()})
-	})
 	return mux
 }
 

@@ -161,7 +161,7 @@ func (w *Worker) PollOnce(ctx context.Context) (bool, error) {
 }
 
 // runCell executes one cell through the worker's pool: singleflight,
-// two-tier cache, retries, and panic isolation all come with it.
+// two-tier cache, and panic isolation all come with it.
 func (w *Worker) runCell(ctx context.Context, spec campaign.Spec) (*campaign.Result, error) {
 	job, err := w.opts.Pool.Submit(spec)
 	if err != nil {

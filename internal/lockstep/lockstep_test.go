@@ -197,7 +197,7 @@ func TestSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Sweep(context.Background(), spec, SweepOptions{Metrics: &Metrics{}})
+	b, err := Sweep(context.Background(), spec, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSweepDeterministic(t *testing.T) {
 
 // TestSweepShardEquivalence: splitting a sweep by FirstProgram must
 // reproduce exactly the same per-program outcomes as the sequential run
-// (the fabric sharding contract).
+// (the `chexfuzz -shard` contract).
 func TestSweepShardEquivalence(t *testing.T) {
 	conds := fastConditions()
 	whole, err := Sweep(context.Background(), SweepSpec{Seed: 7, Programs: 4, CrosscheckEvery: -1, Conditions: conds}, SweepOptions{})
@@ -262,26 +262,5 @@ func TestSweepContext(t *testing.T) {
 	}
 	if _, err := Sweep(ctx, SweepSpec{Seed: 1, Programs: 3}, SweepOptions{}); err == nil {
 		t.Fatal("interrupted bounded sweep must return the context error")
-	}
-}
-
-// TestMetricsRender: counter exposition is stable and complete.
-func TestMetricsRender(t *testing.T) {
-	m := &Metrics{}
-	m.Programs.Add(3)
-	m.Divergences.Add(1)
-	m.SetClock(func() int64 { return 5_000_000 })
-	if m.now() != 5_000_000 {
-		t.Fatal("injected clock not used")
-	}
-	out := m.Snapshot().Render()
-	for _, want := range []string{
-		"lockstep_programs_total 3\n",
-		"lockstep_divergences_total 1\n",
-		"lockstep_shrink_seconds_total 0.000000\n",
-	} {
-		if !bytes.Contains([]byte(out), []byte(want)) {
-			t.Fatalf("metrics render missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // SweepSpec is the deterministic description of a lockstep campaign:
 // every per-program seed and mutation decision derives from Seed and the
 // program's global index via faultinject.DeriveSeed, so a sweep can be
-// sharded across the fabric by index range (FirstProgram/Programs) and
+// sharded by index range (FirstProgram/Programs, `chexfuzz -shard`) and
 // every shard reproduces exactly the programs a sequential run would
 // have generated at those indices.
 type SweepSpec struct {
@@ -81,21 +81,6 @@ func (s SweepSpec) Normalized() SweepSpec {
 	return s
 }
 
-// Validate rejects specs the campaign executor cannot cache
-// deterministically.
-func (s SweepSpec) Validate() error {
-	if s.Programs <= 0 {
-		return fmt.Errorf("lockstep: sweep spec needs programs > 0 (open-ended sweeps are CLI-only)")
-	}
-	if s.Programs > 1_000_000 {
-		return fmt.Errorf("lockstep: sweep spec programs %d exceeds 1e6", s.Programs)
-	}
-	if s.Steps > 10_000 {
-		return fmt.Errorf("lockstep: sweep spec steps %d exceeds 1e4", s.Steps)
-	}
-	return nil
-}
-
 // programPlan derives program #idx's generator seed and mutation from the
 // sweep seed — pure functions of (Seed, idx).
 func (s SweepSpec) programPlan(idx int) (seed uint64, mutation progen.Mutation) {
@@ -138,9 +123,8 @@ type ProgramFailure struct {
 }
 
 // SweepReport aggregates a sweep. Every field is deterministic for a
-// bounded spec (fixed field order, no maps, no wall-clock values), so the
-// campaign result cache can content-address it; shrink *duration* goes to
-// Metrics, never into the report.
+// bounded spec (fixed field order, no maps, no wall-clock values), so two
+// runs of one spec can be compared with cmp.
 type SweepReport struct {
 	Schema     string `json:"schema"`
 	Seed       uint64 `json:"seed"`
@@ -192,8 +176,6 @@ func (r *SweepReport) JSON() []byte {
 // SweepOptions carries the sweep's side-channels: none affect the
 // deterministic report content.
 type SweepOptions struct {
-	// Metrics receives counters (nil = discard).
-	Metrics *Metrics
 	// Corpus persists shrunk reproducers (nil = in-report only).
 	Corpus *Corpus
 	// Log receives progress lines (nil = silent).
@@ -216,13 +198,9 @@ const maxReportFailures = 8
 // function of the spec; with Programs == 0 it runs until ctx is done
 // (budgeted mode — the CLI's long-campaign loop) and returns a nil error
 // on cancellation. A bounded sweep interrupted by ctx returns ctx's error
-// so partial reports are never cached.
+// so a partial report is never taken for a finished one.
 func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport, error) {
 	spec = spec.Normalized()
-	m := opt.Metrics
-	if m == nil {
-		m = &Metrics{}
-	}
 	logf := opt.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -257,12 +235,10 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 		rep.Programs++
 		rep.Commits += pr.Commits
 		rep.ElidedSites += pr.Elided
-		m.Programs.Add(1)
 		if mutation == progen.MutNone {
 			rep.Safe++
 		} else {
 			rep.Mutated++
-			m.MutantsInjected.Add(1)
 		}
 
 		if pr.Failure == nil && mutation == progen.MutNone &&
@@ -297,17 +273,14 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 		switch f.Kind {
 		case "divergence":
 			rep.Divergences++
-			m.Divergences.Add(1)
 		case "invariant":
 			rep.InvariantViolations++
-			m.InvariantViolations.Add(1)
 		case "report-mismatch":
 			rep.ReportMismatches++
 		case "false-positive":
 			rep.FalsePositives++
 		case "label":
 			rep.LabelMisses++
-			m.MutantsMissed.Add(1)
 		default:
 			rep.Errors++
 		}
@@ -315,15 +288,10 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 
 		// Minimize: a candidate reproduces when the harness fails it for
 		// the same reason class.
-		start := m.now()
 		shrunk, attempts := Shrink(g, func(cand *progen.Genome) bool {
 			cr := RunGenome(cand, spec.Conditions, runOpt)
 			return cr.Failure != nil && cr.Failure.Kind == f.Kind
 		}, opt.ShrinkAttempts)
-		if end := m.now(); end > start {
-			m.ShrinkNS.Add(end - start)
-		}
-		m.ShrinkRuns.Add(int64(attempts))
 		rep.ShrinkAttempts += attempts
 		logf("  shrunk %d -> %d steps in %d attempts", len(g.Steps), len(shrunk.Steps), attempts)
 
