@@ -273,11 +273,17 @@ func TestFabricCampaignLocalFallback(t *testing.T) {
 		t.Fatalf("report endpoint bytes differ from the merged report")
 	}
 
-	// Pool and fabric counters share the exposition endpoint.
+	// Pool and fabric counters share the exposition endpoint. The pool
+	// has no cache, so it exports no cache counters.
 	_, metrics := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{"campaign_runs_started 2\n", "fabric_campaigns_done 1\n", "fabric_cells_local 2\n"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	for _, line := range strings.Split(string(metrics), "\n") {
+		if strings.HasPrefix(line, "campaign_cache_") {
+			t.Errorf("/metrics exports a pool cache counter that cannot move: %q", line)
 		}
 	}
 }

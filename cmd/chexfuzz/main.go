@@ -14,7 +14,6 @@
 //
 //	chexfuzz -seed 1 -programs 10000            # bounded, cacheable sweep
 //	chexfuzz -seed 1 -budget 30s -corpus ci     # CI gate: run until budget
-//	chexfuzz -programs 64 -shard 3/8            # fabric-style index shard
 //	chexfuzz -mutations 100 -steps 200 -v       # all-mutant stress, chatty
 //
 // Exit status: 0 on a clean sweep, 1 when the harness found a divergence,
@@ -28,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"chex86/internal/lockstep"
 )
@@ -38,7 +35,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "sweep seed (equal seeds produce byte-identical reports)")
 	programs := flag.Int("programs", 0, "bounded program count (0 with -budget = run until budget)")
 	budget := flag.Duration("budget", 0, "wall-clock budget (with -programs 0: open-ended until exhausted)")
-	shard := flag.String("shard", "", "index shard i/n (1-based) of the bounded program range")
 	steps := flag.Int("steps", 0, "generator steps per program (0 = 40)")
 	bufs := flag.Int("bufs", 0, "heap buffers per program (0 = 4, max 4)")
 	bufBytes := flag.Int64("buf-bytes", 0, "bytes per buffer (0 = 128)")
@@ -68,12 +64,6 @@ func main() {
 	}
 	if *programs == 0 && *budget == 0 {
 		spec.Programs = 200
-	}
-	if *shard != "" {
-		if err := applyShard(&spec, *shard); err != nil {
-			fmt.Fprintln(os.Stderr, "chexfuzz:", err)
-			os.Exit(2)
-		}
 	}
 
 	opt := lockstep.SweepOptions{MaxFailures: *maxFailures}
@@ -122,46 +112,6 @@ func main() {
 	if rep.Failed() {
 		os.Exit(1)
 	}
-}
-
-// applyShard rewrites the spec's program range to the i-th of n equal
-// index shards (1-based "i/n"); the first programs%n shards take one
-// program more. Parsing is strict — trailing junk, signs baked
-// into garbage, zero or negative components and out-of-range indices all
-// fail loudly, and a shard that would receive zero programs is an error
-// rather than a silent switch into open-ended budget mode.
-func applyShard(spec *lockstep.SweepSpec, s string) error {
-	is, ns, ok := strings.Cut(strings.TrimSpace(s), "/")
-	if !ok {
-		return fmt.Errorf("bad -shard %q: want i/n with 1 <= i <= n", s)
-	}
-	i, ierr := strconv.Atoi(is)
-	n, nerr := strconv.Atoi(ns)
-	if ierr != nil || nerr != nil || i < 1 || n < 1 || i > n {
-		return fmt.Errorf("bad -shard %q: want i/n with 1 <= i <= n", s)
-	}
-	if spec.Programs <= 0 {
-		return fmt.Errorf("-shard needs a bounded -programs count")
-	}
-	total := spec.Programs
-	per := total / n
-	extra := total % n
-	first := spec.FirstProgram
-	for k := 1; k < i; k++ {
-		first += per
-		if k <= extra {
-			first++
-		}
-	}
-	spec.FirstProgram = first
-	spec.Programs = per
-	if i <= extra {
-		spec.Programs++
-	}
-	if spec.Programs == 0 {
-		return fmt.Errorf("-shard %d/%d is empty: only %d program(s) to split across %d shards", i, n, total, n)
-	}
-	return nil
 }
 
 func passFail(ok bool) string {

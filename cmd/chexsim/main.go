@@ -6,8 +6,6 @@
 //
 //	chexsim -bench mcf -variant prediction
 //	chexsim -bench canneal -variant asan -scale 0.5
-//	chexsim -bench mcf -save mcf.chx     # serialize to an object image
-//	chexsim -obj mcf.chx                 # simulate a saved image
 //	chexsim -list
 package main
 
@@ -17,10 +15,8 @@ import (
 	"fmt"
 	"os"
 
-	"chex86/internal/asm"
 	"chex86/internal/core"
 	"chex86/internal/decode"
-	"chex86/internal/objfile"
 	"chex86/internal/patterns"
 	"chex86/internal/pipeline"
 	"chex86/internal/workload"
@@ -36,8 +32,6 @@ func main() {
 	pats := flag.Bool("patterns", false, "classify temporal pointer access patterns per reload site (Table II)")
 	timeout := flag.Duration("timeout", 0, "wall-clock deadline for the run (0 = none); expiry is a non-zero exit")
 	maxCycles := flag.Uint64("max-cycles", 0, "simulated-cycle budget (0 = none); exceeding it reports a structured livelock error")
-	savePath := flag.String("save", "", "write the built benchmark as a CHEx86 object image and exit")
-	objPath := flag.String("obj", "", "simulate a saved object image instead of building a benchmark")
 	list := flag.Bool("list", false, "list available benchmarks and exit")
 	flag.Parse()
 
@@ -54,49 +48,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	var (
-		prog  *asm.Program
-		err   error
-		name  = *bench
-		suite = "object image"
-		harts = 1
-	)
-	cfg := pipeline.DefaultConfig()
-	if *objPath != "" {
-		// Simulate a previously saved image: the loader re-seeds
-		// capabilities and alias entries from its .symtab/.reloc sections
-		// exactly as it does for a built benchmark.
-		prog, err = objfile.Load(*objPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chexsim:", err)
-			os.Exit(1)
-		}
-		name = *objPath
-	} else {
-		p := workload.ByName(*bench)
-		if p == nil {
-			fmt.Fprintf(os.Stderr, "chexsim: unknown benchmark %q (try -list)\n", *bench)
-			os.Exit(2)
-		}
-		prog, err = p.Build(*scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chexsim:", err)
-			os.Exit(1)
-		}
-		if *savePath != "" {
-			if err := objfile.Save(*savePath, prog); err != nil {
-				fmt.Fprintln(os.Stderr, "chexsim:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%s: %s\n", *savePath, objfile.Summarize(prog))
-			return
-		}
-		suite = p.Suite
-		cfg.WarmupInsts = p.SetupInsts()
-		if p.Threads > 0 {
-			harts = p.Threads
-		}
+	p := workload.ByName(*bench)
+	if p == nil {
+		fmt.Fprintf(os.Stderr, "chexsim: unknown benchmark %q (try -list)\n", *bench)
+		os.Exit(2)
 	}
+	prog, err := p.Build(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chexsim:", err)
+		os.Exit(1)
+	}
+	harts := max(1, p.Threads)
+	cfg := pipeline.DefaultConfig()
+	cfg.WarmupInsts = p.SetupInsts()
 	cfg.Variant = v
 	cfg.MaxInsts = *insts
 	if cfg.MaxInsts > 0 {
@@ -139,7 +103,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("benchmark        %s (%s, %d hart(s))\n", name, suite, harts)
+	fmt.Printf("benchmark        %s (%s, %d hart(s))\n", p.Name, p.Suite, harts)
 	fmt.Printf("variant          %s\n", v)
 	fmt.Printf("instructions     %d (after %d warmup)\n", res.MacroInsts, cfg.WarmupInsts)
 	fmt.Printf("cycles           %d (IPC %.2f, %.3f ms simulated)\n", res.Cycles, res.IPC(), res.Seconds()*1e3)

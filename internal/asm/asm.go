@@ -450,17 +450,6 @@ func (b *Builder) Build() (*Program, error) {
 	return p, nil
 }
 
-// Reindex installs a new address→instruction index into p (used by
-// program-rewriting passes such as the binary translator after they have
-// re-laid-out the instruction stream).
-func Reindex(p *Program, byAddr map[uint64]int) error {
-	if len(byAddr) != len(p.Insts) {
-		return fmt.Errorf("asm: index covers %d of %d instructions", len(byAddr), len(p.Insts))
-	}
-	p.byAddr = byAddr
-	return nil
-}
-
 // MustBuild builds the program or panics; for generators with static code.
 func (b *Builder) MustBuild() *Program {
 	p, err := b.Build()

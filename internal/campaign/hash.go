@@ -23,8 +23,8 @@ import (
 //   - "workload": the deterministic object-file bytes of every program the
 //     job simulates, at the job's scale. A catalog edit changes the bytes
 //     and therefore the key.
-//   - "rules": the rule-database export (the same byte-stable form
-//     `ruledump -json` emits). A Table-I change invalidates everything, as
+//   - "rules": the rule database's byte-stable JSON export
+//     (tracker.RuleDB.Export). A Table-I change invalidates everything, as
 //     it must — every capability decision flows through the rules.
 //
 // Equal specs yield equal keys across processes and machines; the key is

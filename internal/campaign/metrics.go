@@ -47,7 +47,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 }
 
 // Render writes the counters in the text exposition format scrapers
-// expect: one `name value` line per counter, in fixed order.
+// expect: one `name value` line per counter, in fixed order. The cache
+// counters are left out: chexd's pool runs without a cache, so they
+// never move there, and fabric_cells_from_cache counts cached cells.
 func (s MetricsSnapshot) Render() string {
 	var b strings.Builder
 	row := func(name string, v int64) {
@@ -55,8 +57,6 @@ func (s MetricsSnapshot) Render() string {
 	}
 	row("jobs_submitted", s.Submitted)
 	row("jobs_deduped", s.Deduped)
-	row("cache_hits", s.CacheHits)
-	row("cache_misses", s.CacheMisses)
 	row("runs_started", s.Started)
 	row("jobs_completed", s.Completed)
 	row("jobs_failed", s.Failed)

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"chex86/internal/decode"
 	"chex86/internal/patterns"
+	"chex86/internal/tracker"
 )
 
 func quickOpts() Options {
@@ -143,6 +145,25 @@ func TestTable1RuleValidation(t *testing.T) {
 		if r.Validations > 0 && float64(r.Mismatches)/float64(r.Validations) > 0.01 {
 			t.Errorf("%s: rule mismatch rate too high: %d/%d", r.Bench, r.Mismatches, r.Validations)
 		}
+	}
+}
+
+// TestTable1MismatchLines: each logged mismatch gets a line under its
+// benchmark's row, and only a tagged value with the wrong PID counts as a
+// rule bug.
+func TestTable1MismatchLines(t *testing.T) {
+	rs := []Table1Result{{Bench: "mcf", Validations: 10, Mismatches: 2, Mismatch: []tracker.Mismatch{
+		{RIP: 0x400010, Inst: "mov", Tracked: 3, Actual: 4},
+		{RIP: 0x400020, Inst: "xor", Tracked: 0, Actual: 5},
+	}}}
+	out := FormatTable1(rs)
+	for _, want := range []string{"  WRONG-PID (rule bug): rip=0x400010", "  extension candidate:  rip=0x400020"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Table I lacks %q:\n%s", want, out)
+		}
+	}
+	if n := WrongPIDs(rs); n != 1 {
+		t.Errorf("WrongPIDs = %d, want 1", n)
 	}
 }
 

@@ -99,7 +99,8 @@ func RunTable1(o Options) ([]Table1Result, error) {
 	return out, nil
 }
 
-// FormatTable1 renders the rule database and its validation summary.
+// FormatTable1 renders the rule database and its validation summary,
+// with one line under a benchmark's row per mismatch the checker logged.
 func FormatTable1(results []Table1Result) string {
 	var b strings.Builder
 	b.WriteString("Table I: Pointer Tracking Rule Database\n\n")
@@ -112,9 +113,38 @@ func FormatTable1(results []Table1Result) string {
 			agree = 100 * float64(r.Validations-r.Mismatches) / float64(r.Validations)
 		}
 		fmt.Fprintf(&b, "%-14s%14d%12d%11.2f%%\n", r.Bench, r.Validations, r.Mismatches, agree)
+		for _, m := range r.Mismatch {
+			if wrongPID(m) {
+				fmt.Fprintf(&b, "  WRONG-PID (rule bug): %s\n", m)
+			} else {
+				fmt.Fprintf(&b, "  extension candidate:  %s\n", m)
+			}
+		}
 	}
 	return b.String()
 }
+
+// WrongPIDs counts the logged mismatches that are rule bugs.
+func WrongPIDs(results []Table1Result) int {
+	n := 0
+	for _, r := range results {
+		for _, m := range r.Mismatch {
+			if wrongPID(m) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// wrongPID tells the two kinds of mismatch apart. A tagged value with the
+// wrong PID means an implemented rule produced the wrong capability: a
+// rule bug. An untagged value that coincides with a live block is a
+// rule-extension candidate (Section V-A): an architect decides whether
+// Table I needs a new rule or the value is an integer-provenance
+// coincidence the paper leaves to the compiler (fadd/xor hashing is the
+// usual source).
+func wrongPID(m tracker.Mismatch) bool { return m.Tracked != 0 }
 
 // ---------------------------------------------------------------------
 // Table III: hardware configuration.

@@ -215,37 +215,6 @@ func TestSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepShardEquivalence: splitting a sweep by FirstProgram must
-// reproduce exactly the same per-program outcomes as the sequential run
-// (the `chexfuzz -shard` contract).
-func TestSweepShardEquivalence(t *testing.T) {
-	conds := fastConditions()
-	whole, err := Sweep(context.Background(), SweepSpec{Seed: 7, Programs: 4, CrosscheckEvery: -1, Conditions: conds}, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var commits uint64
-	var programs int
-	for _, shard := range []SweepSpec{
-		{Seed: 7, Programs: 2, CrosscheckEvery: -1, Conditions: conds},
-		{Seed: 7, Programs: 2, FirstProgram: 2, CrosscheckEvery: -1, Conditions: conds},
-	} {
-		rep, err := Sweep(context.Background(), shard, SweepOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Failed() {
-			t.Fatalf("shard failed:\n%s", rep.JSON())
-		}
-		commits += rep.Commits
-		programs += rep.Programs
-	}
-	if commits != whole.Commits || programs != whole.Programs {
-		t.Fatalf("shards(commits=%d programs=%d) != whole(commits=%d programs=%d)",
-			commits, programs, whole.Commits, whole.Programs)
-	}
-}
-
 // TestSweepContext: an open-ended sweep (Programs == 0) exits cleanly
 // when its context is done (nil error — the CLI's budget mode), while an
 // interrupted bounded sweep propagates the context error so partial

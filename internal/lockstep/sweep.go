@@ -12,15 +12,11 @@ import (
 
 // SweepSpec is the deterministic description of a lockstep campaign:
 // every per-program seed and mutation decision derives from Seed and the
-// program's global index via faultinject.DeriveSeed, so a sweep can be
-// sharded by index range (FirstProgram/Programs, `chexfuzz -shard`) and
-// every shard reproduces exactly the programs a sequential run would
-// have generated at those indices.
+// program's index via faultinject.DeriveSeed, so a failing program
+// reproduces from (Seed, index) alone.
 type SweepSpec struct {
 	Seed     uint64 `json:"seed"`
 	Programs int    `json:"programs"`
-	// FirstProgram offsets the global program index (shard base).
-	FirstProgram int `json:"firstProgram,omitempty"`
 
 	// Generator shape (0 = default: 40 steps, 4 × 128-byte buffers,
 	// 3-deep call tree).
@@ -47,9 +43,6 @@ type SweepSpec struct {
 func (s SweepSpec) Normalized() SweepSpec {
 	if s.Programs < 0 {
 		s.Programs = 0
-	}
-	if s.FirstProgram < 0 {
-		s.FirstProgram = 0
 	}
 	if s.Steps <= 0 {
 		s.Steps = 40
@@ -128,7 +121,6 @@ type ProgramFailure struct {
 type SweepReport struct {
 	Schema     string `json:"schema"`
 	Seed       uint64 `json:"seed"`
-	First      int    `json:"first,omitempty"`
 	Programs   int    `json:"programs"`
 	Conditions int    `json:"conditions"`
 
@@ -212,7 +204,6 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 	rep := &SweepReport{
 		Schema:     SweepSchema,
 		Seed:       spec.Seed,
-		First:      spec.FirstProgram,
 		Conditions: len(spec.Conditions),
 	}
 	runOpt := RunOptions{Stride: spec.Stride, MaxInsts: spec.MaxInsts, Tamper: opt.Tamper}
@@ -225,8 +216,7 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 			}
 			return rep, ctx.Err()
 		}
-		idx := spec.FirstProgram + i
-		seed, mutation := spec.programPlan(idx)
+		seed, mutation := spec.programPlan(i)
 		gopt := genOpt
 		gopt.Mutation = mutation
 		g := progen.Generate(seed, gopt)
@@ -284,7 +274,7 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 		default:
 			rep.Errors++
 		}
-		logf("program %d (seed=%#x mut=%q) FAILED: %s", idx, seed, mutation, f)
+		logf("program %d (seed=%#x mut=%q) FAILED: %s", i, seed, mutation, f)
 
 		// Minimize: a candidate reproduces when the harness fails it for
 		// the same reason class.
@@ -296,7 +286,7 @@ func Sweep(ctx context.Context, spec SweepSpec, opt SweepOptions) (*SweepReport,
 		logf("  shrunk %d -> %d steps in %d attempts", len(g.Steps), len(shrunk.Steps), attempts)
 
 		pf := ProgramFailure{
-			Index:    idx,
+			Index:    i,
 			Seed:     seed,
 			Mutation: string(mutation),
 			Kind:     f.Kind,

@@ -1,47 +1,42 @@
-// Package objfile serializes guest programs to a compact on-disk object
-// format and loads them back.
+// Package objfile encodes a guest program as one deterministic byte
+// string, the object image. The image is the "workload" section of every
+// campaign cache key (workload.ProgramBytes, campaign.Spec.Key): any
+// change to what a program holds changes its bytes, and so its key.
+// Nothing reads an image back, so the format only has to be complete and
+// stable, not decodable by a loader.
 //
-// CHEx86 bootstraps its shadow capability table from exactly the metadata a
-// stripped-but-relocatable binary still carries: the symbol table (one
-// capability per global data object, Section IV-C) and the relocation
-// entries (shadow-alias seeds for pointer slots materialized through
-// constant pools, Section V-B). The container therefore mirrors the
-// sections a loader would hand to the CHEx86 microcode engine:
+// The image carries exactly the metadata CHEx86 bootstraps its shadow
+// capability table from, in the sections a loader would hand to the
+// microcode engine: the symbol table (one capability per global data
+// object, Section IV-C) and the relocation entries (shadow-alias seeds
+// for pointer slots materialized through constant pools, Section V-B):
 //
-//	.text    the instruction stream (variable-length encoded)
+//	.text    the instruction stream
 //	.symtab  global objects: name, address, size, writability
 //	.reloc   pointer slots the loader fills with a global's address
 //	.data    initialized data words
-//	.labels  resolved code labels (debug aid; not needed to execute)
+//	.labels  resolved code labels, sorted by name
 //
-// The format is deliberately simple — little-endian, varint-packed, with a
-// trailing CRC-32 over the whole image — so a round trip is cheap to verify
-// and corruption is detected at load rather than as a mystery crash inside
-// the simulated machine.
+// Integers are little-endian varints, strings are length-prefixed, and a
+// CRC-32 over the whole image trails it. Changing any byte of this
+// layout, the trailer included, changes every cache key.
 package objfile
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
+	"sort"
 
 	"chex86/internal/asm"
 	"chex86/internal/isa"
 )
 
-// Magic identifies a CHEx86 object image.
+// Magic opens every object image.
 const Magic = "CHX86OBJ"
 
-// Version is the current format version. Readers reject images written by
-// a different major version.
+// Version is the format version written after Magic.
 const Version = 1
-
-// maxSaneCount bounds per-section element counts while decoding so a
-// corrupt or adversarial length field cannot drive allocation to OOM
-// before the CRC check is reached.
-const maxSaneCount = 1 << 26
 
 // Encode serializes the program to its object-image byte form.
 func Encode(p *asm.Program) []byte {
@@ -97,132 +92,53 @@ func Encode(p *asm.Program) []byte {
 	return w.buf.Bytes()
 }
 
-// Decode parses an object image produced by Encode and reconstructs the
-// runnable program, including the address index used by the front end.
-func Decode(img []byte) (*asm.Program, error) {
-	if len(img) < len(Magic)+4 {
-		return nil, fmt.Errorf("objfile: image truncated (%d bytes)", len(img))
-	}
-	body, tail := img[:len(img)-4], img[len(img)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("objfile: checksum mismatch (image %#x, computed %#x)", want, got)
-	}
-	r := &imageReader{buf: body}
-	if string(r.rawN(len(Magic))) != Magic {
-		return nil, fmt.Errorf("objfile: bad magic")
-	}
-	if v := r.uvar(); v != Version {
-		return nil, fmt.Errorf("objfile: unsupported format version %d (have %d)", v, Version)
-	}
-
-	p := &asm.Program{TextBase: r.uvar()}
-
-	n := r.count("instruction")
-	p.Insts = make([]isa.Inst, n)
-	for i := range p.Insts {
-		r.inst(&p.Insts[i])
-	}
-
-	n = r.count("symbol")
-	p.Globals = make([]asm.Global, n)
-	for i := range p.Globals {
-		g := &p.Globals[i]
-		g.Name = r.str()
-		g.Addr = r.uvar()
-		g.Size = r.uvar()
-		g.ReadOnly = r.byte()&1 != 0
-	}
-
-	n = r.count("relocation")
-	p.Relocs = make([]asm.Reloc, n)
-	for i := range p.Relocs {
-		p.Relocs[i].Slot = r.uvar()
-		p.Relocs[i].Target = r.str()
-	}
-
-	n = r.count("data word")
-	p.Data = make([]asm.DataInit, n)
-	for i := range p.Data {
-		p.Data[i].Addr = r.uvar()
-		p.Data[i].Val = r.uvar()
-	}
-
-	n = r.count("label")
-	p.Labels = make(map[string]uint64, n)
-	for i := 0; i < int(n); i++ {
-		name := r.str()
-		p.Labels[name] = r.uvar()
-	}
-
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.pos != len(r.buf) {
-		return nil, fmt.Errorf("objfile: %d trailing bytes after last section", len(r.buf)-r.pos)
-	}
-
-	byAddr := make(map[uint64]int, len(p.Insts))
-	for i := range p.Insts {
-		byAddr[p.Insts[i].Addr] = i
-	}
-	if err := asm.Reindex(p, byAddr); err != nil {
-		return nil, fmt.Errorf("objfile: %w", err)
-	}
-	return p, nil
+// imageWriter builds the object image. All integers are varints; strings
+// are length-prefixed UTF-8.
+type imageWriter struct {
+	buf bytes.Buffer
+	tmp [binary.MaxVarintLen64]byte
 }
 
-// Write streams the encoded image to w.
-func Write(w io.Writer, p *asm.Program) error {
-	_, err := w.Write(Encode(p))
-	return err
+func (w *imageWriter) raw(s string)  { w.buf.WriteString(s) }
+func (w *imageWriter) byte(b byte)   { w.buf.WriteByte(b) }
+func (w *imageWriter) uvar(v uint64) { w.buf.Write(w.tmp[:binary.PutUvarint(w.tmp[:], v)]) }
+func (w *imageWriter) svar(v int64)  { w.buf.Write(w.tmp[:binary.PutVarint(w.tmp[:], v)]) }
+
+func (w *imageWriter) str(s string) {
+	w.uvar(uint64(len(s)))
+	w.buf.WriteString(s)
 }
 
-// Read consumes r to EOF and decodes the image.
-func Read(r io.Reader) (*asm.Program, error) {
-	img, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(img)
-}
-
-// Save writes the program image to path.
-func Save(path string, p *asm.Program) error {
-	return os.WriteFile(path, Encode(p), 0o644)
-}
-
-// Load reads and decodes the program image at path.
-func Load(path string) (*asm.Program, error) {
-	img, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(img)
-}
-
-// Stats summarizes an encoded image for tooling output.
-type Stats struct {
-	Bytes   int
-	Insts   int
-	Globals int
-	Relocs  int
-	Data    int
-	Labels  int
-}
-
-// Summarize reports section element counts and total image size.
-func Summarize(p *asm.Program) Stats {
-	return Stats{
-		Bytes:   len(Encode(p)),
-		Insts:   len(p.Insts),
-		Globals: len(p.Globals),
-		Relocs:  len(p.Relocs),
-		Data:    len(p.Data),
-		Labels:  len(p.Labels),
+func (w *imageWriter) operand(o *isa.Operand) {
+	w.byte(byte(o.Kind))
+	switch o.Kind {
+	case isa.OpReg:
+		w.byte(byte(o.Reg))
+	case isa.OpImm:
+		w.svar(o.Imm)
+	case isa.OpMem:
+		w.byte(byte(o.Mem.Base))
+		w.byte(byte(o.Mem.Index))
+		w.byte(o.Mem.Scale)
+		w.svar(o.Mem.Disp)
 	}
 }
 
-func (s Stats) String() string {
-	return fmt.Sprintf("%d bytes: %d insts, %d symbols, %d relocs, %d data words, %d labels",
-		s.Bytes, s.Insts, s.Globals, s.Relocs, s.Data, s.Labels)
+func (w *imageWriter) inst(in *isa.Inst) {
+	w.byte(byte(in.Op))
+	w.byte(byte(in.Cond))
+	w.byte(in.EncLen)
+	w.uvar(in.Addr)
+	w.uvar(in.Target)
+	w.operand(&in.Dst)
+	w.operand(&in.Src)
+}
+
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

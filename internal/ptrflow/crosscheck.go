@@ -138,7 +138,7 @@ type Report struct {
 	External []ExternalReport `json:"external,omitempty"`
 
 	// FalseNegatives counts proven (untriaged) tracker false negatives;
-	// chexlint exits non-zero when it is not 0.
+	// `chexbench -coverage` exits non-zero when it is not 0.
 	FalseNegatives        int `json:"false_negatives"`
 	TriagedFalseNegatives int `json:"triaged_false_negatives"`
 	OverTaggedSites       int `json:"over_tagged_sites"`

@@ -90,7 +90,7 @@ type RegionClaim struct {
 // Region.base+Hi+Size) and that the region is live and (for stores)
 // writable there — so the capability check at the site can never fire
 // and may be elided. Justification records the fact chain the claim
-// rests on, for `chexlint -elide`.
+// rests on; an elided site's decision in the elision report carries it.
 type Proof struct {
 	Addr     uint64 `json:"addr"`
 	MacroIdx uint8  `json:"macroIdx"`
