@@ -306,12 +306,8 @@ func (h *Hierarchy) pfFill(c *LineCache, addr uint64, now uint64) {
 	c.MarkPrefetched(addr)
 }
 
-// AccessInst performs an instruction fetch access.
-func (h *Hierarchy) AccessInst(addr uint64) uint64 {
-	return h.AccessInstAt(addr, 0)
-}
-
-// AccessInstAt is AccessInst with the requesting cycle.
+// AccessInstAt performs an instruction fetch access at the requesting
+// cycle.
 func (h *Hierarchy) AccessInstAt(addr uint64, now uint64) uint64 {
 	lat := h.access(h.L1I, addr, false, now)
 	if h.NoPrefetch {
@@ -327,18 +323,13 @@ func (h *Hierarchy) AccessInstAt(addr uint64, now uint64) uint64 {
 	return lat
 }
 
-// AccessShadow performs a privileged capability-table access (see
-// AccessShadowAt).
-func (h *Hierarchy) AccessShadow(addr uint64, write bool) uint64 {
-	return h.AccessShadowAt(addr, write, false, 0)
-}
-
-// AccessShadowAt is AccessShadow with the requesting cycle. Alias-table
-// accesses are served by the dedicated walker cache when configured (like
-// a page-walk cache); capability-table accesses take the regular L2→LLC
-// path. Either way the DRAM traffic rides the sideband: shadow volume is
-// a few percent of demand and its requests come from dedicated engines,
-// so it does not occupy a demand lane.
+// AccessShadowAt performs a privileged capability-table access at the
+// requesting cycle. Alias-table accesses are served by the dedicated
+// walker cache when configured (like a page-walk cache);
+// capability-table accesses take the regular L2→LLC path. Either way the
+// DRAM traffic rides the sideband: shadow volume is a few percent of
+// demand and its requests come from dedicated engines, so it does not
+// occupy a demand lane.
 func (h *Hierarchy) AccessShadowAt(addr uint64, write bool, isAlias bool, now uint64) uint64 {
 	lat := uint64(2) // shadow access port
 	if h.Shadow != nil && isAlias {

@@ -409,13 +409,6 @@ func (d *Decoder) Customize(native []isa.Uop, decide func(memUop *isa.Uop) Check
 	return out, msrom
 }
 
-// CapEventUops returns the capability micro-ops injected for an
-// intercepted allocator entry/exit event (Section IV-C).
-func (d *Decoder) CapEventUops(t isa.UopType, pid core.PID) []isa.Uop {
-	d.Stats.InjectedUops++
-	return []isa.Uop{{Type: t, Dst: isa.RNone, Src1: isa.RNone, PID: pid, Injected: true}}
-}
-
 // ASanShadowBase is the base of the modeled AddressSanitizer shadow region
 // (shadow byte address = (addr >> 3) + base).
 const ASanShadowBase = 0x0000_1000_0000_0000

@@ -297,7 +297,7 @@ type checker struct {
 // newChecker builds the checker's own view of the program and decodes
 // the bundle's claims. It returns an error for global preconditions that
 // reject the whole bundle up front.
-func newChecker(prog *asm.Program, b *ptrflow.Bundle, harts int, hints map[uint64][]uint64) (*checker, error) {
+func newChecker(prog *asm.Program, b *ptrflow.Bundle, harts int) (*checker, error) {
 	ck := &checker{
 		prog:      prog,
 		db:        tracker.NewRuleDB(),
@@ -323,7 +323,7 @@ func newChecker(prog *asm.Program, b *ptrflow.Bundle, harts int, hints map[uint6
 			return nil, fmt.Errorf("indirect branch at %#x", in.Addr)
 		}
 	}
-	ck.cfg = ptrflow.BuildCFG(prog, ck.harts, hints)
+	ck.cfg = ptrflow.BuildCFG(prog, ck.harts)
 	if len(ck.cfg.Unresolved) > 0 {
 		return nil, fmt.Errorf("%d unresolved indirect branches", len(ck.cfg.Unresolved))
 	}

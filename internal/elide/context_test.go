@@ -110,7 +110,7 @@ func TestCtxInvariantBadSiteRejected(t *testing.T) {
 			break
 		}
 	}
-	if _, err := newChecker(p, b, 1, nil); err == nil {
+	if _, err := newChecker(p, b, 1); err == nil {
 		t.Fatal("call-string site that is not an internal CALL was accepted")
 	}
 }
@@ -123,7 +123,7 @@ func TestCtxInvariantDuplicateRejected(t *testing.T) {
 			break
 		}
 	}
-	if _, err := newChecker(p, b, 1, nil); err == nil {
+	if _, err := newChecker(p, b, 1); err == nil {
 		t.Fatal("duplicate (block, context) claim was accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestCtxInvariantDuplicateRejected(t *testing.T) {
 func TestCtxKOutOfRangeRejected(t *testing.T) {
 	p, b := ctxBundle(t)
 	b.CtxK = 3
-	if _, err := newChecker(p, b, 1, nil); err == nil {
+	if _, err := newChecker(p, b, 1); err == nil {
 		t.Fatal("per-context claims at unsupported k were accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestTamperedCtxInvariantRejectsBundle(t *testing.T) {
 	if tampered == 0 {
 		t.Fatal("no context-qualified pointer claim to tamper")
 	}
-	ck, err := newChecker(p, b, 1, nil)
+	ck, err := newChecker(p, b, 1)
 	if err != nil {
 		t.Fatalf("precondition reject (want induction reject): %v", err)
 	}
@@ -171,7 +171,7 @@ func TestTamperedCtxInvariantRejectsBundle(t *testing.T) {
 // for it has no invariant to stand on.
 func TestForgedCtxProofRejected(t *testing.T) {
 	p, b := ctxBundle(t)
-	ck, err := newChecker(p, b, 1, nil)
+	ck, err := newChecker(p, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,12 +31,6 @@ type Options struct {
 	// possible). Zero means one.
 	Harts int
 
-	// IndirectTargets optionally maps indirect-branch addresses to their
-	// possible targets. Note that any indirect branch — resolved or not —
-	// rejects all proofs; the hints only serve CFG construction for the
-	// keep-side diagnostics.
-	IndirectTargets map[uint64][]uint64
-
 	// ContextK selects the call-string depth of the analyzer's
 	// context-sensitive layer: 0 means the default (k = 2), -1 disables
 	// the layer entirely (context-insensitive proofs only).
@@ -103,9 +97,8 @@ type Report struct {
 // analysis failure only; rejected proofs surface as keep decisions.
 func ForProgram(prog *asm.Program, opt Options) (*Report, error) {
 	an, err := ptrflow.Analyze(prog, ptrflow.Options{
-		Harts:           opt.Harts,
-		IndirectTargets: opt.IndirectTargets,
-		ContextK:        opt.ContextK,
+		Harts:    opt.Harts,
+		ContextK: opt.ContextK,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("elide: %w", err)
@@ -145,7 +138,7 @@ func verify(prog *asm.Program, bundle *ptrflow.Bundle, sites []*ptrflow.Site, op
 	}
 	rep.Stats.Proofs = len(bundle.Proofs)
 
-	ck, err := newChecker(prog, bundle, harts, opt.IndirectTargets)
+	ck, err := newChecker(prog, bundle, harts)
 	if err == nil {
 		err = ck.verifyInduction()
 	}

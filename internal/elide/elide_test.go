@@ -57,7 +57,7 @@ func TestElideInductionLoop(t *testing.T) {
 		t.Fatalf("bundle rejected: %s", rep.Reason)
 	}
 	if rep.Stats.Elided == 0 || rep.Stats.Rejected != 0 {
-		t.Fatalf("stats %+v, want verified elisions and no rejections\n%s", rep.Stats, rep.Format())
+		t.Fatalf("stats %+v, want verified elisions and no rejections", rep.Stats)
 	}
 	addr := p.MustLookup("loop")
 	var d *SiteDecision
@@ -67,7 +67,7 @@ func TestElideInductionLoop(t *testing.T) {
 		}
 	}
 	if d == nil || d.Status != "elide" {
-		t.Fatalf("loop site not elided:\n%s", rep.Format())
+		t.Fatalf("loop site not elided: %+v", d)
 	}
 	if d.Region != "tab" || d.Lo != 0 || d.Hi != 24 || d.Size != 8 {
 		t.Fatalf("decision bounds %s+[%d,%d] width %d, want tab+[0,24] width 8",
@@ -118,7 +118,7 @@ func TestTamperedInvariantRejectsBundle(t *testing.T) {
 	b.Proofs = append(b.Proofs, ptrflow.Proof{
 		Addr: p.MustLookup("loop"), MacroIdx: 0, Region: "tab", Lo: 0, Hi: 24, Size: 8,
 	})
-	ck, err := newChecker(p, b, 1, nil)
+	ck, err := newChecker(p, b, 1)
 	if err != nil {
 		t.Fatalf("precondition reject (want induction reject): %v", err)
 	}
@@ -138,7 +138,7 @@ func TestForgedProofRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := an.ProofBundle()
-	ck, err := newChecker(p, b, 1, nil)
+	ck, err := newChecker(p, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTamperedStoreClaimRejectsBundle(t *testing.T) {
 	if !tampered {
 		t.Fatal("no heap region claim to tamper")
 	}
-	ck, err := newChecker(p, b, 1, nil)
+	ck, err := newChecker(p, b, 1)
 	if err != nil {
 		t.Fatalf("precondition reject (want induction reject): %v", err)
 	}

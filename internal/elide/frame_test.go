@@ -61,7 +61,7 @@ func TestLostFrameVerifies(t *testing.T) {
 				t.Fatalf("bundle rejected: %s", rep.Reason)
 			}
 			if rep.Stats.Elided != c.elided || rep.Stats.Rejected != 0 {
-				t.Fatalf("stats %+v, want %d elided and none rejected\n%s", rep.Stats, c.elided, rep.Format())
+				t.Fatalf("stats %+v, want %d elided and none rejected", rep.Stats, c.elided)
 			}
 		})
 	}

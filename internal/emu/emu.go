@@ -225,17 +225,6 @@ func (t *Truth) ByPID(pid int64) *Span { return t.byPID[pid] }
 // Spans returns the current span list (live and freed), sorted by base.
 func (t *Truth) Spans() []*Span { return t.spans }
 
-// LiveCount returns the number of live spans.
-func (t *Truth) LiveCount() int {
-	n := 0
-	for _, s := range t.spans {
-		if s.Live {
-			n++
-		}
-	}
-	return n
-}
-
 // Options configures a Machine.
 type Options struct {
 	// Harts is the number of hardware threads executing the program; each

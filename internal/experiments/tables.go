@@ -63,6 +63,7 @@ type Table1Result struct {
 	Bench       string
 	Validations uint64
 	Mismatches  uint64
+	WrongPIDs   uint64 `json:",omitempty"`
 	Mismatch    []tracker.Mismatch
 }
 
@@ -93,6 +94,7 @@ func RunTable1(o Options) ([]Table1Result, error) {
 			Bench:       p.Name,
 			Validations: res.Checker.Validations,
 			Mismatches:  res.Checker.Mismatches,
+			WrongPIDs:   res.Checker.WrongPIDs,
 			Mismatch:    res.Mismatches,
 		})
 	}
@@ -114,7 +116,7 @@ func FormatTable1(results []Table1Result) string {
 		}
 		fmt.Fprintf(&b, "%-14s%14d%12d%11.2f%%\n", r.Bench, r.Validations, r.Mismatches, agree)
 		for _, m := range r.Mismatch {
-			if wrongPID(m) {
+			if m.WrongPID() {
 				fmt.Fprintf(&b, "  WRONG-PID (rule bug): %s\n", m)
 			} else {
 				fmt.Fprintf(&b, "  extension candidate:  %s\n", m)
@@ -124,27 +126,14 @@ func FormatTable1(results []Table1Result) string {
 	return b.String()
 }
 
-// WrongPIDs counts the logged mismatches that are rule bugs.
-func WrongPIDs(results []Table1Result) int {
-	n := 0
+// WrongPIDs counts the mismatches that are rule bugs, logged or not.
+func WrongPIDs(results []Table1Result) uint64 {
+	var n uint64
 	for _, r := range results {
-		for _, m := range r.Mismatch {
-			if wrongPID(m) {
-				n++
-			}
-		}
+		n += r.WrongPIDs
 	}
 	return n
 }
-
-// wrongPID tells the two kinds of mismatch apart. A tagged value with the
-// wrong PID means an implemented rule produced the wrong capability: a
-// rule bug. An untagged value that coincides with a live block is a
-// rule-extension candidate (Section V-A): an architect decides whether
-// Table I needs a new rule or the value is an integer-provenance
-// coincidence the paper leaves to the compiler (fadd/xor hashing is the
-// usual source).
-func wrongPID(m tracker.Mismatch) bool { return m.Tracked != 0 }
 
 // ---------------------------------------------------------------------
 // Table III: hardware configuration.

@@ -100,13 +100,6 @@ func (c *ChaosTransport) Dead() bool {
 	return c.dead
 }
 
-// Kill kills the worker immediately (tests that script the failure).
-func (c *ChaosTransport) Kill() {
-	c.mu.Lock()
-	c.dead = true
-	c.mu.Unlock()
-}
-
 // roll advances the xorshift stream and tests a percentage. Callers hold
 // c.mu.
 func (c *ChaosTransport) roll(pct int) bool {

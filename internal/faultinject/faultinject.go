@@ -65,11 +65,6 @@ const (
 	SitePeerCorrupt Site = "peer-corrupt" // peer cache response corrupted (validation must reject)
 )
 
-// FabricSites returns every fabric-chaos site in report order.
-func FabricSites() []Site {
-	return []Site{SiteWorkerKill, SiteMsgDrop, SiteMsgDelay, SiteMsgDup, SitePeerCorrupt}
-}
-
 // Class is the fail-closed outcome classification of one campaign run.
 type Class string
 

@@ -42,10 +42,6 @@ func (t UopType) String() string {
 	return fmt.Sprintf("uop?%d", uint8(t))
 }
 
-// IsCap reports whether the micro-op is one of the injected capability
-// micro-ops.
-func (t UopType) IsCap() bool { return t >= UCapGenBegin && t <= UCapCheck }
-
 // IsMem reports whether the micro-op accesses program-visible memory.
 func (t UopType) IsMem() bool { return t == ULoad || t == UStore }
 

@@ -1,15 +1,18 @@
 // Package lockstep is the observational-correctness harness: it runs
-// generated guest programs (internal/lockstep/progen) through the full
-// pipeline simulator and a standalone reference emulator side by side,
-// diffing the committed architectural stream record by record and full
-// machine snapshots at configurable commit strides, while continuously
-// auditing the capability-table invariants the CHEx86 design promises.
-// Every program runs under a matrix of conditions — protection variant ×
-// proof-carrying elision on/off × μop-cache on/off — and the violation
-// reports across a variant's conditions must be byte-identical (elision
-// and the translation cache must never change observable behavior).
-// Failing programs are minimized by deterministic step removal (shrink.go)
-// and persisted to a content-addressed corpus (corpus.go).
+// guest programs through the full pipeline simulator and a standalone
+// reference emulator side by side, diffing the committed architectural
+// stream record by record and full machine snapshots at configurable
+// commit strides, while continuously auditing the capability-table
+// invariants the CHEx86 design promises. Every program runs under a
+// matrix of conditions — protection variant × proof-carrying elision
+// on/off × μop-cache on/off — and the violation reports across a
+// variant's conditions must be identical in every field (elision and the
+// translation cache must never change observable behavior). It is the
+// one violation-report differential: RunGenome serves generated programs
+// (internal/lockstep/progen), and RunProgram serves the security suites'
+// exploits and probes (internal/security). Failing generated programs are
+// minimized by deterministic step removal (shrink.go) and persisted to a
+// content-addressed corpus (corpus.go).
 package lockstep
 
 import (
@@ -78,8 +81,7 @@ type RunOptions struct {
 	// Stride is the commit interval for full-snapshot diffing and
 	// invariant auditing (default 64; every commit is still record-diffed).
 	Stride uint64
-	// MaxInsts bounds each run (default 500k macro-ops, matching the
-	// security fuzz suite).
+	// MaxInsts bounds each run (default 500k macro-ops).
 	MaxInsts uint64
 	// Tamper, when set, corrupts the harness's view of each pipeline
 	// commit before diffing. It exists for the harness's own mutation
@@ -113,19 +115,21 @@ func (d *Divergence) String() string {
 	return fmt.Sprintf("[%s] seq=%d: %s", d.Cond, d.Seq, d.Detail)
 }
 
-// VioSummary is the observable part of a capability violation — the
-// fields that must be identical across elision and μop-cache toggles.
+// VioSummary is the observable part of a capability violation — every
+// field of core.Violation, all of which must be identical across elision
+// and μop-cache toggles.
 type VioSummary struct {
 	Kind string `json:"kind"`
 	PID  int64  `json:"pid"`
 	EA   uint64 `json:"ea"`
 	RIP  uint64 `json:"rip"`
+	Msg  string `json:"msg"`
 }
 
 func vioSummaries(vs []*core.Violation) []VioSummary {
 	out := make([]VioSummary, len(vs))
 	for i, v := range vs {
-		out[i] = VioSummary{Kind: v.Kind.String(), PID: int64(v.PID), EA: v.EA, RIP: v.RIP}
+		out[i] = VioSummary{Kind: v.Kind.String(), PID: int64(v.PID), EA: v.EA, RIP: v.RIP, Msg: v.Msg}
 	}
 	return out
 }
@@ -137,7 +141,7 @@ func renderVios(vs []VioSummary) string {
 	}
 	parts := make([]string, len(vs))
 	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%s(pid=%d ea=%#x rip=%#x)", v.Kind, v.PID, v.EA, v.RIP)
+		parts[i] = fmt.Sprintf("%s(pid=%d ea=%#x rip=%#x msg=%q)", v.Kind, v.PID, v.EA, v.RIP, v.Msg)
 	}
 	return strings.Join(parts, ";")
 }
@@ -381,47 +385,52 @@ func (f *Failure) String() string {
 	return f.Kind + ": " + f.Detail
 }
 
-// ProgramResult is the matrix outcome for one genome.
+// ProgramResult is the matrix outcome for one program.
 type ProgramResult struct {
-	Genome  *progen.Genome `json:"genome,omitempty"`
-	Conds   []*CondResult  `json:"conds,omitempty"`
-	Failure *Failure       `json:"failure,omitempty"`
-	Commits uint64         `json:"commits"`
-	Elided  int            `json:"elided"`
+	Conds   []*CondResult `json:"conds,omitempty"`
+	Failure *Failure      `json:"failure,omitempty"`
+	Commits uint64        `json:"commits"`
+	Elided  int           `json:"elided"`
 }
 
-// RunGenome builds the genome once and runs it under every condition,
-// then classifies the aggregate outcome:
+// RunGenome builds the genome and runs it through RunProgram, labeled
+// with its mutation's violation class.
+func RunGenome(g *progen.Genome, conds []Condition, opt RunOptions) *ProgramResult {
+	prog, err := g.Build()
+	if err != nil {
+		return &ProgramResult{Failure: &Failure{Kind: "build", Detail: err.Error()}}
+	}
+	return RunProgram(prog, g.Mutation.Expect(), conds, opt)
+}
+
+// RunProgram runs a built program under every condition, then classifies
+// the aggregate outcome against expect, the violation class the program
+// carries (core.VNone for a safe program):
 //
 //   - no run may diverge from the reference, fault the harness, or trip
 //     an invariant audit;
 //   - within a variant, every condition (elision ×, μop cache ×) must
 //     produce an identical violation report;
 //   - the insecure baseline must observe zero violations;
-//   - a safe genome must be violation-free everywhere (no false
-//     positives), and a mutated genome's labeled class must be the first
+//   - a safe program must be violation-free everywhere (no false
+//     positives), and a labeled program's class must be the first
 //     violation under every protected variant.
-func RunGenome(g *progen.Genome, conds []Condition, opt RunOptions) *ProgramResult {
+func RunProgram(prog *asm.Program, expect core.ViolationKind, conds []Condition, opt RunOptions) *ProgramResult {
 	if len(conds) == 0 {
 		conds = DefaultConditions()
 	}
-	pr := &ProgramResult{Genome: g}
-	prog, err := g.Build()
-	if err != nil {
-		pr.Failure = &Failure{Kind: "build", Detail: err.Error()}
-		return pr
-	}
+	pr := &ProgramResult{}
 	for _, c := range conds {
 		rc := runConditionProg(prog, c, opt)
 		pr.Conds = append(pr.Conds, rc)
 		pr.Commits += rc.Commits
 		pr.Elided += rc.Elided
 	}
-	pr.Failure = classify(g, pr.Conds)
+	pr.Failure = classify(expect, pr.Conds)
 	return pr
 }
 
-func classify(g *progen.Genome, conds []*CondResult) *Failure {
+func classify(expect core.ViolationKind, conds []*CondResult) *Failure {
 	for _, rc := range conds {
 		if rc.Err != "" {
 			return &Failure{Kind: "error", Cond: rc.Name, Detail: rc.Err}
@@ -456,18 +465,17 @@ func classify(g *progen.Genome, conds []*CondResult) *Failure {
 		case rc.Cond.Variant == decode.VariantInsecure && len(rc.Violations) > 0:
 			return &Failure{Kind: "error", Cond: rc.Name,
 				Detail: "insecure baseline reported violations: " + renderVios(rc.Violations)}
-		case rc.Cond.Variant != decode.VariantInsecure && g.Mutation == progen.MutNone && len(rc.Violations) > 0:
+		case rc.Cond.Variant != decode.VariantInsecure && expect == core.VNone && len(rc.Violations) > 0:
 			return &Failure{Kind: "false-positive", Cond: rc.Name,
 				Detail: "safe program flagged: " + renderVios(rc.Violations)}
-		case rc.Cond.Variant != decode.VariantInsecure && g.Mutation != progen.MutNone:
-			want := g.Mutation.Expect().String()
+		case rc.Cond.Variant != decode.VariantInsecure && expect != core.VNone:
 			if len(rc.Violations) == 0 {
 				return &Failure{Kind: "label", Cond: rc.Name,
-					Detail: fmt.Sprintf("injected %q mutation escaped detection", g.Mutation)}
+					Detail: fmt.Sprintf("expected %s violation escaped detection", expect)}
 			}
-			if rc.Violations[0].Kind != want {
+			if rc.Violations[0].Kind != expect.String() {
 				return &Failure{Kind: "label", Cond: rc.Name,
-					Detail: fmt.Sprintf("injected %q flagged as %s, want %s", g.Mutation, rc.Violations[0].Kind, want)}
+					Detail: fmt.Sprintf("flagged as %s, want %s", rc.Violations[0].Kind, expect)}
 			}
 		}
 	}

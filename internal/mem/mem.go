@@ -134,10 +134,6 @@ func (m *Memory) WriteU8(addr uint64, v byte) {
 	p.data[addr&(PageSize-1)] = v
 }
 
-// Touch ensures the page containing addr is resident (for RSS accounting of
-// zero-initialized allocations).
-func (m *Memory) Touch(addr uint64) { m.pageFor(addr, true) }
-
 // TouchRange ensures every page overlapping [addr, addr+size) is resident.
 func (m *Memory) TouchRange(addr, size uint64) {
 	if size == 0 {
@@ -182,14 +178,6 @@ func NewPageTable() *PageTable {
 // Lookup returns the PTE for the page containing addr.
 func (pt *PageTable) Lookup(addr uint64) PTE {
 	return pt.entries[PageBase(addr)]
-}
-
-// MarkPresent records the page containing addr as mapped.
-func (pt *PageTable) MarkPresent(addr uint64) {
-	base := PageBase(addr)
-	e := pt.entries[base]
-	e.Present = true
-	pt.entries[base] = e
 }
 
 // SetAliasHosting sets or clears the alias-hosting bit on the page

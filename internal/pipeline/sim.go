@@ -765,4 +765,5 @@ func addChecker(dst *tracker.CheckerStats, src *tracker.CheckerStats) {
 	dst.Validations += src.Validations
 	dst.Matches += src.Matches
 	dst.Mismatches += src.Mismatches
+	dst.WrongPIDs += src.WrongPIDs
 }

@@ -18,11 +18,6 @@ type Options struct {
 	// (selects the thread<i> entry points). Defaults to 1.
 	Harts int
 
-	// IndirectTargets maps an indirect JMP/CALL address to its possible
-	// target set. Branches absent from the map are recorded as unresolved
-	// (use RecoverIndirectTargets for a label-based over-approximation).
-	IndirectTargets map[uint64][]uint64
-
 	// MaxTransfers bounds block-transfer applications as a divergence
 	// backstop; 0 means an automatic bound derived from program size.
 	MaxTransfers int
@@ -465,7 +460,7 @@ func negateCond(c isa.Cond) isa.Cond {
 
 // Analyze runs the static pointer-flow analysis over prog.
 func Analyze(prog *asm.Program, opt Options) (*Analysis, error) {
-	g := BuildCFG(prog, opt.Harts, opt.IndirectTargets)
+	g := BuildCFG(prog, opt.Harts)
 	a := &Analysis{
 		CFG:        g,
 		Sites:      map[SiteKey]*Site{},
@@ -1454,29 +1449,6 @@ func (a *Analysis) RegionSummaries() []RegionSummary {
 		r := a.regions[n]
 		out = append(out, RegionSummary{Name: n, Init: r.init.String(),
 			Stores: r.stores.String(), Covered: r.covered})
-	}
-	return out
-}
-
-// Format renders a human-readable verdict listing.
-func (a *Analysis) Format() string {
-	out := fmt.Sprintf("ptrflow: %d blocks, %d insts, %d mem sites (%d ptr / %d not-ptr / %d unknown, %d assumed)\n",
-		a.Stats.Blocks, a.Stats.Insts, a.Stats.MemSites,
-		a.Stats.PointerSites, a.Stats.NotPointerSites, a.Stats.UnknownSites, a.Stats.AssumedSites)
-	for _, s := range a.SortedSites() {
-		kind := "load "
-		if s.Store {
-			kind = "store"
-		}
-		flag := ""
-		if s.Assumed {
-			flag = " (assumed)"
-		}
-		if !s.Reached {
-			flag = " (unreached)"
-		}
-		out += fmt.Sprintf("  %#08x.%d %s %-11s %-8s%s  ; %s\n",
-			s.Addr, s.MacroIdx, kind, s.Deref, s.Verdict, flag, s.Inst)
 	}
 	return out
 }

@@ -123,33 +123,9 @@ func endsBlock(in *isa.Inst) bool {
 	return in.Op.IsBranch() || in.Op == isa.HLT
 }
 
-// RecoverIndirectTargets recovers a conservative indirect-branch target
-// hint set from a program's symbol information: every label is a
-// candidate target of every indirect JMP/CALL. Workload generators emit
-// label-structured code, so labels over-approximate the address-taken
-// set; pass a narrower map through Options.IndirectTargets when the
-// generator knows the real targets.
-func RecoverIndirectTargets(p *asm.Program) map[uint64][]uint64 {
-	var labels []uint64
-	for _, a := range p.Labels {
-		if p.At(a) != nil {
-			labels = append(labels, a)
-		}
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	hints := make(map[uint64][]uint64)
-	for i := range p.Insts {
-		in := &p.Insts[i]
-		if (in.Op == isa.JMP || in.Op == isa.CALL) && in.Dst.Kind == isa.OpReg {
-			hints[in.Addr] = labels
-		}
-	}
-	return hints
-}
-
 // BuildCFG constructs the control-flow graph for prog with the given hart
-// count and indirect-branch hints (branch address -> possible targets).
-func BuildCFG(prog *asm.Program, harts int, hints map[uint64][]uint64) *CFG {
+// count. Indirect branches get no edges; each is listed in Unresolved.
+func BuildCFG(prog *asm.Program, harts int) *CFG {
 	g := &CFG{Prog: prog}
 	n := len(prog.Insts)
 	if n == 0 {
@@ -198,16 +174,7 @@ func BuildCFG(prog *asm.Program, harts int, hints map[uint64][]uint64) *CFG {
 			}
 		}
 		if in.Dst.Kind == isa.OpReg && (in.Op == isa.JMP || in.Op == isa.CALL) {
-			if tgts, ok := hints[in.Addr]; ok && len(tgts) > 0 {
-				for _, t := range tgts {
-					markAddr(t)
-					if in.Op == isa.CALL {
-						funcSet[t] = true
-					}
-				}
-			} else {
-				g.Unresolved = append(g.Unresolved, in.Addr)
-			}
+			g.Unresolved = append(g.Unresolved, in.Addr)
 		}
 	}
 	leader[0] = true
@@ -272,21 +239,11 @@ func BuildCFG(prog *asm.Program, harts int, hints map[uint64][]uint64) *CFG {
 			b.TakenSucc = t
 			b.FallSucc = fall
 
-		case last.Op == isa.JMP: // indirect
-			for _, t := range hints[last.Addr] {
-				id := blockAtIdx(instIndex(prog, t))
-				b.Succs = addSucc(b.Succs, id)
-				b.IntraSuccs = addSucc(b.IntraSuccs, id)
-			}
+		case last.Op == isa.JMP:
+			// indirect: unresolved, no successors
 
 		case last.Op == isa.CALL:
-			var callees []uint64
-			if last.Dst.Kind == isa.OpReg {
-				callees = hints[last.Addr]
-			} else if prog.At(last.Target) != nil {
-				callees = []uint64{last.Target}
-			}
-			if len(callees) == 0 {
+			if last.Dst.Kind == isa.OpReg || prog.At(last.Target) == nil {
 				// External (or unresolved indirect) call: the callee is
 				// summarized by the transfer function; control continues
 				// at the return site.
@@ -296,13 +253,11 @@ func BuildCFG(prog *asm.Program, harts int, hints map[uint64][]uint64) *CFG {
 			}
 			b.CallSite = last.Addr
 			b.CallFall = fall
-			for _, t := range callees {
-				id := blockAtIdx(instIndex(prog, t))
-				b.Succs = addSucc(b.Succs, id)
-				b.Callees = addSucc(b.Callees, id)
-				if fall >= 0 {
-					retSites[t] = append(retSites[t], fall)
-				}
+			id := blockAtIdx(instIndex(prog, last.Target))
+			b.Succs = addSucc(b.Succs, id)
+			b.Callees = addSucc(b.Callees, id)
+			if fall >= 0 {
+				retSites[last.Target] = append(retSites[last.Target], fall)
 			}
 			// Intraprocedurally the caller resumes at the return site.
 			b.IntraSuccs = addSucc(b.IntraSuccs, fall)

@@ -60,7 +60,7 @@ func TestContextProofRecoversCallerRegion(t *testing.T) {
 	bundle := a.ProofBundle()
 	pr1 := proofAt(bundle, p, "deref1")
 	if pr1 == nil {
-		t.Fatalf("context-sensitive analysis has no proof at deref1:\n%s", a.Format())
+		t.Fatalf("context-sensitive analysis has no proof at deref1; proofs: %+v", bundle.Proofs)
 	}
 	if pr1.Region != "g1" || pr1.Ctx != "root" {
 		t.Fatalf("deref1 proof region=%q ctx=%q, want g1 in root context", pr1.Region, pr1.Ctx)

@@ -51,16 +51,9 @@ const TriageInitOrder = "rule-gap:init-order-assumption"
 type CheckOptions struct {
 	// Harts is the hart count (defaults to 1).
 	Harts int
-	// IndirectTargets forwards indirect-branch hints to the analysis.
-	IndirectTargets map[uint64][]uint64
-	// Variant is the protection variant to replay under; it must use the
-	// tracker. Defaults to VariantMicrocodePrediction.
-	Variant decode.Variant
 	// MaxInsts / MaxCycles bound the replay (0 = unbounded).
 	MaxInsts  uint64
 	MaxCycles uint64
-	// Config overrides the replay pipeline configuration (nil = default).
-	Config *pipeline.Config
 }
 
 // SiteReport is one memory micro-op's static verdict and runtime tag
@@ -154,29 +147,19 @@ type siteRun struct {
 }
 
 // Crosscheck statically analyzes prog, replays it through the pipeline
-// with the dynamic tracker, and diffs the runtime tag stream against the
-// static verdicts.
+// with the dynamic tracker (the prediction variant), and diffs the runtime
+// tag stream against the static verdicts.
 func Crosscheck(ctx context.Context, prog *asm.Program, opt CheckOptions) (*Report, error) {
 	if opt.Harts <= 0 {
 		opt.Harts = 1
 	}
-	variant := opt.Variant
-	if variant == decode.VariantInsecure {
-		variant = decode.VariantMicrocodePrediction
-	}
-	if !variant.UsesTracker() {
-		return nil, fmt.Errorf("ptrflow: variant %q does not use the pointer tracker", variant)
-	}
-
-	an, err := Analyze(prog, Options{Harts: opt.Harts, IndirectTargets: opt.IndirectTargets})
+	an, err := Analyze(prog, Options{Harts: opt.Harts})
 	if err != nil {
 		return nil, err
 	}
 
+	const variant = decode.VariantMicrocodePrediction
 	cfg := pipeline.DefaultConfig()
-	if opt.Config != nil {
-		cfg = *opt.Config
-	}
 	cfg.Variant = variant
 	cfg.MaxInsts = opt.MaxInsts
 	cfg.MaxCycles = opt.MaxCycles
@@ -372,30 +355,4 @@ func deriveTotals(rep *Report) {
 	rep.FalseNegatives = rep.Classes.FalseNegative
 	rep.TriagedFalseNegatives = rep.Classes.FalseNegativeAssumed
 	rep.OverTaggedSites = rep.Classes.OverTagged
-}
-
-// Format renders the report's headline for terminals.
-func (r *Report) Format() string {
-	out := fmt.Sprintf("crosscheck %s [%s, %d hart(s)]\n", r.Workload, r.Variant, r.Harts)
-	out += fmt.Sprintf("  static: %d insts, %d blocks, %d mem sites (%d ptr / %d not-ptr / %d unknown, %d assumed)\n",
-		r.Insts, r.Blocks, r.MemSites, r.PointerSites, r.NotPointerSites, r.UnknownSites, r.AssumedSites)
-	out += fmt.Sprintf("  dynamic: %d macro-ops, %d deref execs (%d tagged), %d checks run\n",
-		r.MacroInsts, r.DerefExecs, r.TaggedExecs, r.ChecksRun)
-	out += fmt.Sprintf("  coverage: %.4f (%d/%d tagged execs at pointer sites)\n",
-		r.Coverage, r.PointerTagged, r.PointerExecs)
-	out += fmt.Sprintf("  classes: covered=%d consistent-untagged=%d unknown=%d unexecuted=%d uncharted=%d\n",
-		r.Classes.Covered, r.Classes.ConsistentUntagged, r.Classes.Unknown,
-		r.Classes.Unexecuted, r.Classes.Uncharted)
-	out += fmt.Sprintf("  mismatches: false-negatives=%d triaged=%d over-tagged=%d\n",
-		r.FalseNegatives, r.TriagedFalseNegatives, r.OverTaggedSites)
-	if r.UnresolvedIndirects > 0 {
-		out += fmt.Sprintf("  WARNING: %d unresolved indirect branch(es) — static view incomplete\n", r.UnresolvedIndirects)
-	}
-	for _, s := range r.Sites {
-		if s.Class == ClassFalseNegative || s.Class == ClassFalseNegativeAssumed || s.Class == ClassOverTagged {
-			out += fmt.Sprintf("    %s %s.%d %s: verdict=%s deref=%s execs=%d tagged=%d %s\n",
-				s.Class, s.Addr, s.MacroIdx, s.Inst, s.Verdict, s.Deref, s.Execs, s.Tagged, s.Triage)
-		}
-	}
-	return out
 }

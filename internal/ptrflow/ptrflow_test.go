@@ -1,12 +1,13 @@
 package ptrflow
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 
 	"chex86/internal/asm"
 	"chex86/internal/core"
-	"chex86/internal/decode"
 	"chex86/internal/heap"
 	"chex86/internal/isa"
 	"chex86/internal/tracker"
@@ -55,7 +56,7 @@ func TestCFGFallThroughAtTraceEnd(t *testing.T) {
 		b.Label("skip")
 		b.MovRI(isa.RBX, 2) // leader via label; trace ends here
 	})
-	g := BuildCFG(p, 1, nil)
+	g := BuildCFG(p, 1)
 	if len(g.Blocks) == 0 {
 		t.Fatal("no blocks")
 	}
@@ -65,6 +66,8 @@ func TestCFGFallThroughAtTraceEnd(t *testing.T) {
 	}
 }
 
+// TestCFGIndirectJumpHints: the CFG takes no indirect-branch target
+// hints, so an indirect jump is reported unresolved and gets no edges.
 func TestCFGIndirectJumpHints(t *testing.T) {
 	p := build(t, func(b *asm.Builder) {
 		b.Lea(isa.RAX, isa.MemOp(isa.RNone, 0)) // stand-in target computation
@@ -76,26 +79,12 @@ func TestCFGIndirectJumpHints(t *testing.T) {
 		b.Hlt()
 	})
 	jmpAddr := p.MustLookup("jump")
-	// Without hints the branch is reported unresolved.
-	g := BuildCFG(p, 1, nil)
+	g := BuildCFG(p, 1)
 	if len(g.Unresolved) != 1 || g.Unresolved[0] != jmpAddr {
 		t.Fatalf("unresolved = %#v, want [%#x]", g.Unresolved, jmpAddr)
 	}
-	// With a hint set the edge resolves.
-	target := p.MustLookup("target")
-	g = BuildCFG(p, 1, map[uint64][]uint64{jmpAddr: {target}})
-	if len(g.Unresolved) != 0 {
-		t.Fatalf("hinted branch still unresolved: %v", g.Unresolved)
-	}
-	jb, tb := g.BlockAt(jmpAddr), g.BlockAt(target)
-	found := false
-	for _, s := range jb.Succs {
-		if s == tb.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("hint edge %#x -> %#x missing: succs=%v", jmpAddr, target, jb.Succs)
+	if jb := g.BlockAt(jmpAddr); len(jb.Succs) != 0 {
+		t.Fatalf("unresolved jump at %#x has successors %v", jmpAddr, jb.Succs)
 	}
 }
 
@@ -107,7 +96,7 @@ func TestCFGCallReturnEdges(t *testing.T) {
 		b.Label("fn")
 		b.Ret()
 	})
-	g := BuildCFG(p, 1, nil)
+	g := BuildCFG(p, 1)
 	callB := g.BlockAt(p.TextBase)
 	fnB := g.BlockAt(p.MustLookup("fn"))
 	afterB := g.BlockAt(p.MustLookup("after"))
@@ -305,7 +294,7 @@ func TestProofMonotoneInductionLoop(t *testing.T) {
 	a := analyze(t, p, Options{})
 	pr := proofAt(a.ProofBundle(), p, "loop")
 	if pr == nil {
-		t.Fatalf("induction loop access has no safety proof:\n%s", a.Format())
+		t.Fatalf("induction loop access has no safety proof; proofs: %+v", a.ProofBundle().Proofs)
 	}
 	if pr.Region != "tab" || pr.Lo != 0 || pr.Hi != 24 || pr.Size != 8 {
 		t.Fatalf("proof bounds %s+[%d,%d] width %d, want tab+[0,24] width 8",
@@ -488,19 +477,19 @@ func TestCrosscheckCleanProgram(t *testing.T) {
 		t.Fatalf("crosscheck: %v", err)
 	}
 	if rep.FalseNegatives != 0 {
-		t.Fatalf("clean program reported %d false negatives:\n%s", rep.FalseNegatives, rep.Format())
+		t.Fatalf("clean program reported %d false negatives: classes %+v", rep.FalseNegatives, rep.Classes)
 	}
 	if rep.OverTaggedSites != 0 {
-		t.Fatalf("clean program reported over-tagging:\n%s", rep.Format())
+		t.Fatalf("clean program reported %d over-tagged sites", rep.OverTaggedSites)
 	}
 	if rep.Coverage != 1.0 {
-		t.Fatalf("coverage=%v, want 1.0:\n%s", rep.Coverage, rep.Format())
+		t.Fatalf("coverage=%v (%d/%d tagged execs), want 1.0", rep.Coverage, rep.PointerTagged, rep.PointerExecs)
 	}
 	if rep.PointerExecs == 0 {
 		t.Fatal("the loop derefs a heap pointer; pointer-site execs must be non-zero")
 	}
 	if rep.Classes.Uncharted != 0 {
-		t.Fatalf("uncharted sites in a fully resolved program:\n%s", rep.Format())
+		t.Fatalf("%d uncharted sites in a fully resolved program", rep.Classes.Uncharted)
 	}
 }
 
@@ -554,14 +543,6 @@ func TestClassifyCountsMixedSiteOnce(t *testing.T) {
 	}
 }
 
-func TestCrosscheckRejectsTrackerlessVariant(t *testing.T) {
-	p := build(t, func(b *asm.Builder) { b.Hlt() })
-	// ASan does not use the tracker: the diff would be vacuous.
-	if _, err := Crosscheck(context.Background(), p, CheckOptions{Variant: decode.VariantASan}); err == nil {
-		t.Fatal("want error for a tracker-less variant")
-	}
-}
-
 func TestReportJSONStable(t *testing.T) {
 	p := build(t, func(b *asm.Builder) {
 		b.MovRI(isa.RDI, 32)
@@ -569,15 +550,19 @@ func TestReportJSONStable(t *testing.T) {
 		b.Store(isa.RAX, 0, isa.RDI)
 		b.Hlt()
 	})
-	run := func() *Report {
+	run := func() []byte {
 		rep, err := Crosscheck(context.Background(), p, CheckOptions{MaxCycles: 1_000_000})
 		if err != nil {
 			t.Fatalf("crosscheck: %v", err)
 		}
-		return rep
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		return data
 	}
-	a, b := run().Format(), run().Format()
-	if a != b {
-		t.Fatalf("reports differ across identical runs:\n--- a ---\n%s--- b ---\n%s", a, b)
+	a, b := run(), run()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("reports differ across identical runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
 }

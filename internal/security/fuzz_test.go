@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"testing"
 
-	"chex86/internal/core"
 	"chex86/internal/decode"
+	"chex86/internal/lockstep"
 	"chex86/internal/lockstep/progen"
-	"chex86/internal/pipeline"
 )
 
 // The randomized differential property of Section VI: CHEx86 is transparent
@@ -22,24 +21,9 @@ import (
 // accesses, alloc/free churn, and call trees, with an optional labeled
 // violation.
 
-func runFuzz(t *testing.T, g *progen.Genome) []*core.Violation {
-	t.Helper()
-	prog, err := g.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	cfg := pipeline.DefaultConfig()
-	cfg.Variant = decode.VariantMicrocodePrediction
-	cfg.MaxInsts = 500_000
-	sim := pipeline.New(prog, cfg, 1)
-	if _, err := sim.Run(); err != nil {
-		if v, ok := err.(*core.Violation); ok {
-			return []*core.Violation{v}
-		}
-		t.Fatalf("run: %v", err)
-	}
-	return sim.Violations
-}
+// fuzzConds is the one-cell matrix the property runs under: the
+// prediction variant, every commit diffed against the reference emulator.
+var fuzzConds = []lockstep.Condition{{Variant: decode.VariantMicrocodePrediction}}
 
 // TestFuzzNoFalsePositives: 50 random memory-safe pointer-flow programs,
 // zero violations allowed.
@@ -48,8 +32,8 @@ func TestFuzzNoFalsePositives(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := progen.Generate(seed, progen.Options{})
-			if vs := runFuzz(t, g); len(vs) > 0 {
-				t.Fatalf("false positive on safe random program: %v", vs[0])
+			if pr := lockstep.RunGenome(g, fuzzConds, lockstep.RunOptions{}); pr.Failure != nil {
+				t.Fatalf("safe random program: %v", pr.Failure)
 			}
 		})
 	}
@@ -63,13 +47,8 @@ func TestFuzzDetectsMutation(t *testing.T) {
 		t.Run(string(mut), func(t *testing.T) {
 			for seed := uint64(0); seed < 40; seed++ {
 				g := progen.Generate(seed, progen.Options{Mutation: mut})
-				vs := runFuzz(t, g)
-				if len(vs) == 0 {
-					t.Fatalf("seed %d: %s mutation escaped detection", seed, mut)
-				}
-				if vs[0].Kind != mut.Expect() {
-					t.Fatalf("seed %d: %s mutation flagged as %v, want %v",
-						seed, mut, vs[0].Kind, mut.Expect())
+				if pr := lockstep.RunGenome(g, fuzzConds, lockstep.RunOptions{}); pr.Failure != nil {
+					t.Fatalf("seed %d: %s mutation: %v", seed, mut, pr.Failure)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 
 	"chex86/internal/core"
 	"chex86/internal/decode"
+	"chex86/internal/lockstep"
 )
 
 // TestAllSuitesDetected reproduces the paper's headline security result:
@@ -45,20 +46,34 @@ func TestSuiteSizes(t *testing.T) {
 	}
 }
 
-// TestInsecureBaselineDetectsNothing verifies the baseline provides no
-// protection: the same exploits run to completion (or crash) without any
-// capability violation being raised.
-func TestInsecureBaselineDetectsNothing(t *testing.T) {
+// TestSuitesLockstep runs every exploit and benign probe through the
+// lockstep harness's ten-cell matrix (variant × elision × μop cache),
+// which diffs each commit against the reference emulator. Within a
+// variant, elision and the μop translation cache must leave the violation
+// report unchanged, field for field; the insecure cells must report
+// nothing; and every protected cell must report the case's expected class
+// first. The elision cells must verify at least one proof, or they
+// checked nothing.
+func TestSuitesLockstep(t *testing.T) {
+	proofs, programs := 0, 0
 	for _, e := range All() {
-		if e.Expect == core.VNone {
-			continue
+		prog, err := e.Build()
+		if err != nil {
+			t.Fatalf("%s/%s: build: %v", e.Suite, e.Name, err)
 		}
-		out := Run(e, decode.VariantInsecure)
-		if out.Detected {
-			t.Errorf("%s/%s: baseline should not detect anything, got %v",
-				e.Suite, e.Name, out.Violation)
+		pr := lockstep.RunProgram(prog, e.Expect, lockstep.DefaultConditions(), lockstep.RunOptions{})
+		if pr.Failure != nil {
+			t.Errorf("%s/%s: %v", e.Suite, e.Name, pr.Failure)
+		}
+		proofs += pr.Elided
+		if pr.Elided > 0 {
+			programs++
 		}
 	}
+	if proofs == 0 {
+		t.Fatal("the elision cells verified no proof on any security program")
+	}
+	t.Logf("%d proofs verified across the elision cells, on %d programs", proofs, programs)
 }
 
 // TestAllVariantsDetect verifies every protected CHEx86 variant catches a

@@ -18,6 +18,15 @@ type Mismatch struct {
 	Value   uint64
 }
 
+// WrongPID tells the two kinds of mismatch apart. A tagged value with the
+// wrong PID means an implemented rule produced the wrong capability: a
+// rule bug. An untagged value that coincides with a live block is a
+// rule-extension candidate (Section V-A): an architect decides whether
+// Table I needs a new rule or the value is an integer-provenance
+// coincidence the paper leaves to the compiler (fadd/xor hashing is the
+// usual source).
+func (m Mismatch) WrongPID() bool { return m.Tracked != 0 }
+
 // String renders the mismatch like the checker's diagnostic dump.
 func (m Mismatch) String() string {
 	return fmt.Sprintf("rip=%#x %-24s tracked=PID(%d) actual=PID(%d) value=%#x",
@@ -29,6 +38,9 @@ type CheckerStats struct {
 	Validations uint64
 	Matches     uint64
 	Mismatches  uint64
+	// WrongPIDs counts the mismatches that are rule bugs, past the log's
+	// cap too.
+	WrongPIDs uint64 `json:",omitempty"`
 }
 
 // MismatchRate returns mismatches per validation.
@@ -97,14 +109,13 @@ func (c *Checker) Validate(rec *emu.Rec) bool {
 		return true
 	}
 	c.Stats.Mismatches++
+	m := Mismatch{RIP: rec.Inst.Addr, Tracked: tracked, Actual: actual, Value: rec.Val}
+	if m.WrongPID() {
+		c.Stats.WrongPIDs++
+	}
 	if len(c.Log) < c.LogCap {
-		c.Log = append(c.Log, Mismatch{
-			RIP:     rec.Inst.Addr,
-			Inst:    rec.Inst.String(),
-			Tracked: tracked,
-			Actual:  actual,
-			Value:   rec.Val,
-		})
+		m.Inst = rec.Inst.String()
+		c.Log = append(c.Log, m)
 	}
 	return false
 }

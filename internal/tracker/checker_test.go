@@ -66,6 +66,29 @@ func TestCheckerMismatchDump(t *testing.T) {
 	}
 }
 
+// TestCheckerCountsWrongPIDsPastLog: the wrong-PID count that Table I's
+// exit rule reads covers every mismatch, not just the logged ones.
+func TestCheckerCountsWrongPIDsPastLog(t *testing.T) {
+	truth := emu.NewTruth()
+	truth.Add(0x1000, 64)
+	other := truth.Add(0x2000, 64)
+	tags := NewRegTags()
+	c := NewChecker(truth, tags)
+	c.LogCap = 1
+
+	// The tracker tags a pointer into the first block with the second
+	// block's PID, twice: two rule bugs, one log slot.
+	for seq := uint64(1); seq <= 2; seq++ {
+		tags.Propagate(seq, isa.RAX, other)
+		if c.Validate(resultRec(isa.RAX, 0x1008)) {
+			t.Fatal("wrong PID must be flagged")
+		}
+	}
+	if c.Stats.WrongPIDs != 2 || len(c.Log) != 1 {
+		t.Fatalf("WrongPIDs = %d with %d logged, want 2 with 1", c.Stats.WrongPIDs, len(c.Log))
+	}
+}
+
 func TestCheckerIgnoresNonRegisterResults(t *testing.T) {
 	truth := emu.NewTruth()
 	c := NewChecker(truth, NewRegTags())
